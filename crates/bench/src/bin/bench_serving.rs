@@ -2,26 +2,34 @@
 //! queries/sec of the `rm-serve` batched front end at 1/4/8 fan-out threads.
 //!
 //! The measured path is the real serving loop — registry lookup, micro-batch
-//! assembly, `par_map` fan-out over the persistent pool — against a
-//! 500×60 dense map (the `bench_positioning` estimator scale). Per-batch
-//! wall time is divided by the batch size to report per-query latency, and
-//! the percentile spread comes from the distribution of full-batch flushes,
-//! so queue time inside a batch is included (a query's latency is the time
-//! until its whole batch returns, which is what a caller observes).
+//! assembly, `par_map` fan-out over the persistent pool — against a 500×60
+//! dense map served whole as one shard (the `bench_positioning` estimator
+//! scale). Per-batch wall time is divided by the batch size to report
+//! per-query latency, and the percentile spread comes from the distribution
+//! of full-batch flushes, so queue time inside a batch is included (a
+//! query's latency is the time until its whole batch returns, which is what
+//! a caller observes).
 //!
 //! Determinism note: the thread axis changes wall-clock only — the suite
 //! pins bit-identical responses at every width, so these legs all compute
 //! the same answers.
+//!
+//! Baseline note: the `bench_serving_500x60_wknn_batch64` entry in
+//! `BENCH_baseline.json` was measured on an earlier whole-venue engine that
+//! called `Knn::estimate` directly; this harness serves through
+//! `ShardedVenueModel` (route, candidate rewrite to global indices, merge),
+//! so its numbers are not comparable with that entry.
 
 use std::time::Instant;
 
+use radiomap_core::{ShardedVenueSnapshot, VenueSnapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rm_bench::ReportTable;
 use rm_geometry::Point;
 use rm_positioning::EstimatorKind;
-use rm_radiomap::{DenseRadioMap, MaskMatrix};
-use rm_serve::{ModelRegistry, QueryEngine, MAX_MICRO_BATCH};
+use rm_radiomap::{DenseRadioMap, MaskMatrix, VenueShards};
+use rm_serve::{ModelRegistry, ShardedQueryEngine, MAX_MICRO_BATCH};
 use rm_tensor::{Precision, SnapshotDtype};
 
 const MAP_RECORDS: usize = 500;
@@ -29,7 +37,7 @@ const NUM_APS: usize = 60;
 const WARMUP_BATCHES: usize = 10;
 const MEASURED_BATCHES: usize = 400;
 
-fn synthetic_snapshot() -> radiomap_core::VenueSnapshot {
+fn synthetic_snapshot() -> ShardedVenueSnapshot {
     let mut rng = StdRng::seed_from_u64(11);
     let fingerprints = (0..MAP_RECORDS)
         .map(|_| (0..NUM_APS).map(|_| rng.gen_range(-100.0..-40.0)).collect())
@@ -37,9 +45,10 @@ fn synthetic_snapshot() -> radiomap_core::VenueSnapshot {
     let locations = (0..MAP_RECORDS)
         .map(|_| Point::new(rng.gen_range(0.0..60.0), rng.gen_range(0.0..40.0)))
         .collect();
-    radiomap_core::VenueSnapshot {
+    let snapshot = VenueSnapshot {
         venue: "bench".into(),
         map: DenseRadioMap::new(fingerprints, locations, NUM_APS),
+        records: (0..MAP_RECORDS).collect(),
         mask: MaskMatrix::all_observed(MAP_RECORDS, NUM_APS),
         estimator: EstimatorKind::Wknn,
         knn_k: 3,
@@ -47,6 +56,12 @@ fn synthetic_snapshot() -> radiomap_core::VenueSnapshot {
         precision: Precision::F64,
         snapshot_dtype: SnapshotDtype::Native,
         tensors: Vec::new(),
+    };
+    ShardedVenueSnapshot {
+        venue: snapshot.venue.clone(),
+        snapshots: vec![snapshot],
+        shards: VenueShards::from_parts(vec![0; MAP_RECORDS], vec![Point::origin()], vec![])
+            .expect("one shard holding every record"),
     }
 }
 
@@ -64,7 +79,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 fn main() {
     let registry = ModelRegistry::new();
-    registry.publish(synthetic_snapshot(), 0);
+    registry.publish_sharded(synthetic_snapshot(), 0);
     let log = query_log(WARMUP_BATCHES + MEASURED_BATCHES);
 
     let mut table = ReportTable::new(
@@ -75,7 +90,7 @@ fn main() {
         &["threads", "p50 us/query", "p99 us/query", "queries/sec"],
     );
     for threads in [1usize, 4, 8] {
-        let mut engine = QueryEngine::new(&registry, "bench", threads);
+        let mut engine = ShardedQueryEngine::new(&registry, "bench", threads);
         let mut batch_seconds = Vec::with_capacity(MEASURED_BATCHES);
         let mut measured_span = 0.0f64;
         for (batch_index, batch) in log.chunks(MAX_MICRO_BATCH).enumerate() {

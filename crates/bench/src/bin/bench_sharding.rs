@@ -5,8 +5,8 @@
 //! path):
 //!
 //! 1. **Sharded vs unsharded imputation** — `export_sharded_snapshot` at 16
-//!    shards vs `export_snapshot`, same records, same imputer. Sharding
-//!    bounds peak memory by the largest shard and makes each shard an
+//!    shards vs at 1 shard, same records, same imputer. Sharding bounds
+//!    peak memory by the largest shard and makes each shard an
 //!    independent publish unit; on a single core its wall-clock should stay
 //!    near the unsharded run (the work is the same records, just
 //!    partitioned).
@@ -122,8 +122,9 @@ fn main() {
     );
 
     // 1. Sharded vs unsharded imputation.
-    let (_, unsharded_ms) =
-        time(|| ImputationPipeline::new(config(1)).export_snapshot("bench", &map, &topology));
+    let (_, unsharded_ms) = time(|| {
+        ImputationPipeline::new(config(1)).export_sharded_snapshot("bench", &map, &topology)
+    });
     let (sharded, sharded_ms) = time(|| {
         ImputationPipeline::new(config(NUM_PATHS)).export_sharded_snapshot("bench", &map, &topology)
     });

@@ -60,30 +60,20 @@ impl LiveVenue {
         let pipeline = ImputationPipeline::new(config);
         let shards = pipeline.shard(&map);
         let n = shards.num_shards();
-        let seeds: Vec<u64> = (0..n)
-            .map(|s| {
-                if n <= 1 {
-                    pipeline.config.seed
-                } else {
-                    rm_runtime::derive_seed(pipeline.config.seed, s as u64)
-                }
-            })
-            .collect();
-        let shard_ids: Vec<usize> = (0..n).collect();
-        let snapshots = rm_runtime::par_map(pipeline.config.threads, &shard_ids, |_, &s| {
-            pipeline.compute_shard(&venue, &shards.submap(&map, s), &topology, seeds[s])
-        });
-        Self {
+        let seeds: Vec<u64> = (0..n).map(|s| pipeline.shard_seed(n, s)).collect();
+        let mut live = Self {
             pipeline,
             venue,
             topology,
             map,
             shards,
             seeds,
-            snapshots,
+            snapshots: Vec::new(),
             generation: 1,
             shard_generations: vec![1; n],
-        }
+        };
+        live.snapshots = live.recompute_all();
+        live
     }
 
     /// Ingests a log of new survey fingerprints: routes each record to its
@@ -96,12 +86,7 @@ impl LiveVenue {
             return dirty;
         }
         let fresh = rm_runtime::par_map(self.pipeline.config.threads, &dirty, |_, &shard| {
-            self.pipeline.compute_shard(
-                &self.venue,
-                &self.shards.submap(&self.map, shard),
-                &self.topology,
-                self.seeds[shard],
-            )
+            self.compute_shard(shard)
         });
         self.generation += 1;
         for (&shard, snapshot) in dirty.iter().zip(fresh) {
@@ -133,10 +118,7 @@ impl LiveVenue {
                 let seed = self.seeds[shard];
                 let mask = self
                     .pipeline
-                    .config
-                    .differentiator
-                    .build(&self.topology, self.pipeline.config.eta, seed)
-                    .differentiate(&part);
+                    .differentiate_with_seed(&part, &self.topology, seed);
                 let imputer = self
                     .pipeline
                     .config
@@ -144,17 +126,8 @@ impl LiveVenue {
                     .build_with(&self.pipeline.build_options(seed));
                 let (imputed, tensors) =
                     imputer.impute_warm(&part, &mask, &previous[slot].tensors, fine_tune_epochs);
-                VenueSnapshot {
-                    venue: self.venue.clone(),
-                    map: imputed.to_dense(part.num_aps()),
-                    mask,
-                    estimator: self.pipeline.config.estimator,
-                    knn_k: self.pipeline.config.knn_k,
-                    seed,
-                    precision: self.pipeline.config.precision,
-                    snapshot_dtype: self.pipeline.config.snapshot_dtype,
-                    tensors,
-                }
+                self.pipeline
+                    .shard_snapshot(&self.venue, seed, mask, &imputed, tensors)
             },
         );
         self.generation += 1;
@@ -201,13 +174,15 @@ impl LiveVenue {
     pub fn recompute_all(&self) -> Vec<VenueSnapshot> {
         let shard_ids: Vec<usize> = (0..self.shards.num_shards()).collect();
         rm_runtime::par_map(self.pipeline.config.threads, &shard_ids, |_, &s| {
-            self.pipeline.compute_shard(
-                &self.venue,
-                &self.shards.submap(&self.map, s),
-                &self.topology,
-                self.seeds[s],
-            )
+            self.compute_shard(s)
         })
+    }
+
+    /// Recomputes one shard from the current map with its build-time seed.
+    fn compute_shard(&self, shard: usize) -> VenueSnapshot {
+        let part = self.shards.submap(&self.map, shard);
+        self.pipeline
+            .compute_shard(&self.venue, &part, &self.topology, self.seeds[shard])
     }
 
     /// The venue identifier.

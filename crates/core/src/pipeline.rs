@@ -23,7 +23,6 @@ use rm_differentiator::{
     ClusteringDifferentiator, DasaKm, Differentiator, ElbowKm, MarOnly, MnarOnly, TopoAc,
 };
 use rm_geometry::MultiPolygon;
-use rm_geometry::Point;
 use rm_imputers::{
     Brits, BritsConfig, CaseDeletion, ImputedRadioMap, Imputer, LinearInterpolation,
     MatrixFactorization, Mice, SemiSupervised, Ssgan, SsganConfig,
@@ -408,8 +407,9 @@ impl Default for PipelineConfig {
 }
 
 /// Everything a serving process needs to answer positioning queries for one
-/// venue, produced by [`ImputationPipeline::export_snapshot`]: the imputed
-/// dense radio map, the differentiator's mask, the estimator configuration,
+/// shard of a venue, produced per shard by
+/// [`ImputationPipeline::export_sharded_snapshot`]: the imputed dense radio
+/// map, the differentiator's mask, the estimator configuration,
 /// and the trained imputer snapshot as named tensors at the dtype the
 /// inference path keeps resident ([`SnapshotDtype::Bf16`] exports are ¼ the
 /// payload bytes of f64 exports of the same weights). This is the in-memory
@@ -421,6 +421,11 @@ pub struct VenueSnapshot {
     pub venue: String,
     /// The imputed dense radio map the estimator is built over.
     pub map: DenseRadioMap,
+    /// Source-record index of each `map` row, ascending: the records of
+    /// the imputed map that have a location. Records the imputer left
+    /// without one (no RP under case deletion, a path with no RP under
+    /// interpolation) have no row.
+    pub records: Vec<usize>,
     /// The differentiator's MAR/MNAR assignment for the source map.
     pub mask: MaskMatrix,
     /// The online location-estimation algorithm to build at load time.
@@ -516,7 +521,7 @@ impl ImputationPipeline {
     /// The seed a shard's differentiation and imputation run with. With one
     /// shard this is the venue seed itself — the sharded path reproduces the
     /// unsharded pipeline bitwise — otherwise a per-shard derived stream.
-    fn shard_seed(&self, num_shards: usize, shard: usize) -> u64 {
+    pub(crate) fn shard_seed(&self, num_shards: usize, shard: usize) -> u64 {
         if num_shards <= 1 {
             self.config.seed
         } else {
@@ -537,7 +542,7 @@ impl ImputationPipeline {
 
     /// Differentiates `map` with `seed` (factored out so sharded runs can
     /// re-seed per shard).
-    fn differentiate_with_seed(
+    pub(crate) fn differentiate_with_seed(
         &self,
         map: &RadioMap,
         topology: &MultiPolygon,
@@ -583,23 +588,19 @@ impl ImputationPipeline {
             let imputer = self.config.imputer.build_with(&self.build_options(seed));
             (imputer.impute(part, &mask), mask)
         });
-        let masks: Vec<MaskMatrix> = results.iter().map(|(_, m)| m.clone()).collect();
-        let mask = shards.merge_masks(&masks, map.num_aps());
-        let mut fingerprints: Vec<Vec<f64>> = vec![Vec::new(); map.len()];
-        let mut locations: Vec<Option<Point>> = vec![None; map.len()];
-        for (shard, (imputed, _)) in results.into_iter().enumerate() {
-            for (local, &record) in shards.members_of(shard).iter().enumerate() {
-                fingerprints[record] = imputed.fingerprints[local].clone();
-                locations[record] = imputed.locations[local];
+        let (imputed, masks): (Vec<ImputedRadioMap>, Vec<MaskMatrix>) = results.into_iter().unzip();
+        let mut merged = ImputedRadioMap {
+            fingerprints: vec![Vec::new(); map.len()],
+            locations: vec![None; map.len()],
+        };
+        for (shard, part) in imputed.into_iter().enumerate() {
+            let rows = part.fingerprints.into_iter().zip(part.locations);
+            for (&record, (fingerprint, location)) in shards.members_of(shard).iter().zip(rows) {
+                merged.fingerprints[record] = fingerprint;
+                merged.locations[record] = location;
             }
         }
-        (
-            ImputedRadioMap {
-                fingerprints,
-                locations,
-            },
-            mask,
-        )
+        (merged, shards.merge_masks(&masks, map.num_aps()))
     }
 
     /// Differentiates and imputes one shard's sub-map with an explicit seed
@@ -615,9 +616,24 @@ impl ImputationPipeline {
         let mask = self.differentiate_with_seed(part, topology, seed);
         let imputer = self.config.imputer.build_with(&self.build_options(seed));
         let (imputed, tensors) = imputer.impute_with_snapshot(part, &mask);
+        self.shard_snapshot(venue, seed, mask, &imputed, tensors)
+    }
+
+    /// Packages one shard's imputation result as its [`VenueSnapshot`].
+    pub(crate) fn shard_snapshot(
+        &self,
+        venue: &str,
+        seed: u64,
+        mask: MaskMatrix,
+        imputed: &ImputedRadioMap,
+        tensors: Vec<NamedTensor>,
+    ) -> VenueSnapshot {
         VenueSnapshot {
             venue: venue.to_string(),
-            map: imputed.to_dense(part.num_aps()),
+            map: imputed.to_dense(mask.cols()),
+            records: (0..imputed.len())
+                .filter(|&i| imputed.locations[i].is_some())
+                .collect(),
             mask,
             estimator: self.config.estimator,
             knn_k: self.config.knn_k,
@@ -628,34 +644,24 @@ impl ImputationPipeline {
         }
     }
 
-    /// Runs differentiation + imputation and packages the result as a
-    /// [`VenueSnapshot`] — the in-memory serving artifact for `venue`.
-    ///
-    /// Unlike [`ImputationPipeline::evaluate`], no test split is held out:
-    /// a serving model is built from the *whole* survey, and every imputed
-    /// record with a location enters the radio map. The trained imputer
-    /// weights ride along as named tensors (via
-    /// [`Imputer::impute_with_snapshot`](rm_imputers::Imputer::impute_with_snapshot)),
-    /// exported at exactly the bits the inference path keeps resident, so
-    /// persisting and reloading the snapshot reproduces the serving model
-    /// bit for bit.
-    pub fn export_snapshot(
-        &self,
-        venue: impl Into<String>,
-        map: &RadioMap,
-        topology: &MultiPolygon,
-    ) -> VenueSnapshot {
-        self.compute_shard(&venue.into(), map, topology, self.config.seed)
-    }
-
     /// Runs the sharded pipeline end to end and packages the result as a
     /// [`ShardedVenueSnapshot`]: the venue is partitioned by
     /// [`VenueShards`], every shard is differentiated and imputed
     /// independently (per-shard derived seed, fanned over the deterministic
     /// pool), and each shard becomes its own [`VenueSnapshot`] — the publish
-    /// unit of per-shard serving. With an effective shard count of 1 the
-    /// single shard snapshot is bitwise the [`ImputationPipeline::export_snapshot`]
-    /// output.
+    /// unit of per-shard serving.
+    ///
+    /// Unlike [`ImputationPipeline::evaluate`], no test split is held out:
+    /// a serving model is built from the *whole* survey, and every imputed
+    /// record with a location enters its shard's radio map. The trained
+    /// imputer weights ride along as named tensors (via
+    /// [`Imputer::impute_with_snapshot`](rm_imputers::Imputer::impute_with_snapshot)),
+    /// exported at exactly the bits the inference path keeps resident, so
+    /// persisting and reloading the snapshot reproduces the serving model
+    /// bit for bit. With an effective shard count of 1 the single shard is
+    /// the whole venue at the venue seed: its map and mask are bitwise the
+    /// [`ImputationPipeline::impute`] and [`ImputationPipeline::differentiate`]
+    /// outputs.
     pub fn export_sharded_snapshot(
         &self,
         venue: impl Into<String>,

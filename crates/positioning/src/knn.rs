@@ -35,8 +35,8 @@ pub struct KnnCandidate {
 /// replicating the whole-map scan's order exactly: ascending exact distance,
 /// ties broken by ascending index. Because each per-shard list holds that
 /// shard's true top-`k`, the merged list equals the whole-map top-`k` — the
-/// cross-shard re-rank that makes sharded serving answer like whole-venue
-/// serving.
+/// cross-shard re-rank that makes a venue served at N shards answer like the
+/// same venue served at 1 shard.
 pub fn merge_candidates(k: usize, mut candidates: Vec<KnnCandidate>) -> Vec<KnnCandidate> {
     candidates.sort_by(|a, b| {
         a.distance

@@ -1,11 +1,13 @@
 //! The on-disk venue-model artifact: a stable, checksummed, dependency-free
-//! binary encoding of a [`VenueSnapshot`].
+//! binary encoding of one shard's [`VenueSnapshot`], wrapped per venue in a
+//! container holding the partition plus one such blob per shard
+//! ([`encode_sharded`]).
 //!
-//! # Format (version 1, all integers little-endian)
+//! # Format (version 2, all integers little-endian)
 //!
 //! ```text
 //! header   magic        4 B   b"RMVM"
-//!          version      u32   1
+//!          version      u32   2
 //!          payload_len  u64   bytes of payload that follow the header
 //!          checksum     u64   FNV-1a 64 over the payload bytes
 //! payload  venue        string (u32 length + UTF-8 bytes)
@@ -16,7 +18,9 @@
 //!          dtype        u8    0 = native, 1 = bf16
 //!          num_aps      u32
 //!          map          n: u32; n × num_aps f64 bit patterns (fingerprints,
-//!                       row-major); n × 2 f64 bit patterns (locations x, y)
+//!                       row-major); n × 2 f64 bit patterns (locations x, y);
+//!                       n × u32 source-record indices (strictly ascending,
+//!                       each below the mask's row count)
 //!          mask         rows: u32; cols: u32; rows × cols i8 entries
 //!                       (1 observed, 0 MAR, −1 MNAR; anything else rejects)
 //!          tensors      count: u32; per tensor: name string, dtype u8
@@ -52,7 +56,7 @@ pub const MAGIC: [u8; 4] = *b"RMVM";
 pub const SHARDED_MAGIC: [u8; 4] = *b"RMVS";
 
 /// The format version this build writes and the only one it reads.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Bytes of the fixed-size artifact header (magic + version + payload length
 /// + checksum).
@@ -213,6 +217,9 @@ pub fn encode(snapshot: &VenueSnapshot) -> Vec<u8> {
     for location in snapshot.map.locations() {
         payload.extend_from_slice(&location.x.to_bits().to_le_bytes());
         payload.extend_from_slice(&location.y.to_bits().to_le_bytes());
+    }
+    for &record in &snapshot.records {
+        payload.extend_from_slice(&(record as u32).to_le_bytes());
     }
 
     // Mask matrix.
@@ -416,6 +423,10 @@ pub fn decode(bytes: &[u8]) -> Result<VenueSnapshot, ArtifactError> {
         locations.push(Point::new(x, y));
     }
     let map = DenseRadioMap::new(fingerprints, locations, num_aps);
+    let mut records = Vec::with_capacity(r.bounded_count("map.records", n, 4)?);
+    for _ in 0..n {
+        records.push(r.u32("map.records")? as usize);
+    }
 
     let mask_rows = r.u32("mask.rows")? as usize;
     let mask_cols = r.u32("mask.cols")? as usize;
@@ -438,6 +449,17 @@ pub fn decode(bytes: &[u8]) -> Result<VenueSnapshot, ArtifactError> {
             };
             mask.set(row, col, kind);
         }
+    }
+    // Row records index the mask's rows, in order; anything else rejects.
+    let mut previous = None;
+    for &record in &records {
+        if record >= mask_rows || previous >= Some(record) {
+            return Err(ArtifactError::InvalidTag {
+                field: "map.records",
+                value: record as i64,
+            });
+        }
+        previous = Some(record);
     }
 
     let tensor_count = r.u32("tensors.len")? as usize;
@@ -489,6 +511,7 @@ pub fn decode(bytes: &[u8]) -> Result<VenueSnapshot, ArtifactError> {
     Ok(VenueSnapshot {
         venue,
         map,
+        records,
         mask,
         estimator,
         knn_k,
@@ -625,12 +648,13 @@ mod tests {
             vec![Point::new(0.0, 1.0), Point::new(2.5, -3.5)],
             2,
         );
-        let mut mask = MaskMatrix::all_observed(2, 2);
+        let mut mask = MaskMatrix::all_observed(3, 2);
         mask.set(0, 1, EntryKind::Mar);
-        mask.set(1, 0, EntryKind::Mnar);
+        mask.set(2, 0, EntryKind::Mnar);
         VenueSnapshot {
             venue: "hall-α".to_string(),
             map,
+            records: vec![0, 2],
             mask,
             estimator: EstimatorKind::Wknn,
             knn_k: 3,
@@ -666,6 +690,7 @@ mod tests {
             assert_eq!(pa.x.to_bits(), pb.x.to_bits());
             assert_eq!(pa.y.to_bits(), pb.y.to_bits());
         }
+        assert_eq!(a.records, b.records);
         assert_eq!(a.mask, b.mask);
         assert_eq!(a.tensors.len(), b.tensors.len());
         for (ta, tb) in a.tensors.iter().zip(&b.tensors) {
@@ -756,6 +781,26 @@ mod tests {
     }
 
     #[test]
+    fn row_records_must_ascend_within_the_mask() {
+        for records in [vec![2, 0], vec![1, 1], vec![0, 3]] {
+            let forged = VenueSnapshot {
+                records: records.clone(),
+                ..tiny_snapshot()
+            };
+            assert!(
+                matches!(
+                    decode(&encode(&forged)),
+                    Err(ArtifactError::InvalidTag {
+                        field: "map.records",
+                        ..
+                    })
+                ),
+                "records {records:?} must not decode"
+            );
+        }
+    }
+
+    #[test]
     fn trailing_bytes_are_rejected() {
         let mut bytes = encode(&tiny_snapshot());
         bytes.push(0);
@@ -800,7 +845,7 @@ mod tests {
 
     fn tiny_sharded_snapshot() -> ShardedVenueSnapshot {
         let shards = VenueShards::from_parts(
-            vec![0, 1, 0],
+            vec![0, 1, 0, 1, 0, 1],
             vec![Point::new(0.0, 0.0), Point::new(10.0, 0.0)],
             vec![(0, 0), (1, 1)],
         )

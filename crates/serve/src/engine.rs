@@ -9,15 +9,20 @@ use crate::registry::ModelRegistry;
 /// how fast requests arrive.
 pub const MAX_MICRO_BATCH: usize = 64;
 
-/// One answered query.
+/// One answered query against a sharded venue.
 #[derive(Debug, Clone, PartialEq)]
-pub struct QueryResponse {
+pub struct ShardedQueryResponse {
     /// Position of the query in this engine's submission order (0-based).
     pub index: u64,
-    /// The estimated location, or `None` when the model declined the query.
+    /// The estimated location (cross-shard re-rank; see
+    /// [`ShardedVenueModel`](crate::model::ShardedVenueModel)).
     pub position: Option<Point>,
-    /// The registry generation of the model that answered — every response
-    /// is attributable to exactly one published model.
+    /// The primary shard the query routed to (AP overlap, ties by nearest
+    /// signal centroid).
+    pub shard: usize,
+    /// The generation of the primary shard's model — after an incremental
+    /// republish, queries routing to clean shards keep reporting those
+    /// shards' old generations.
     pub generation: u64,
 }
 
@@ -25,10 +30,12 @@ pub struct QueryResponse {
 ///
 /// Requests accumulate in submission order and are flushed in micro-batches
 /// of at most [`MAX_MICRO_BATCH`]: each flush clones the venue's current
-/// `Arc<VenueModel>` from the registry **once** and fans the whole batch
-/// over the deterministic worker pool against that one immutable model — so
-/// a batch can never straddle a hot swap, and every response carries the
-/// generation that actually answered it.
+/// composed [`ShardedVenueModel`](crate::model::ShardedVenueModel) from the
+/// registry **once** and fans the whole batch over the deterministic worker
+/// pool against that one immutable model. A batch can therefore never
+/// straddle a hot swap or a per-shard republish: all its answers come from
+/// one consistent set of shard models, and every response carries the
+/// primary shard it routed to plus that shard's generation.
 ///
 /// # Determinism
 ///
@@ -36,20 +43,20 @@ pub struct QueryResponse {
 /// capacity — never on the thread count — and the fan-out is
 /// `rm_runtime::par_map`, which is order-preserving and bit-identical at
 /// any width. A fixed query log against a fixed model therefore yields
-/// bit-identical responses at `RM_THREADS=1`, `2` or `N`, and each response
-/// equals the offline `evaluate_estimator` path's per-query estimate on the
-/// same model (both are exactly `estimator.estimate(fingerprint)`).
-pub struct QueryEngine<'a> {
+/// bit-identical responses at `RM_THREADS=1`, `2` or `N`, and on a
+/// single-shard venue each response equals the offline `evaluate_estimator`
+/// path's per-query estimate on the same snapshot.
+pub struct ShardedQueryEngine<'a> {
     registry: &'a ModelRegistry,
     venue: String,
     threads: usize,
     max_batch: usize,
     next_index: u64,
     pending: Vec<(u64, Vec<f64>)>,
-    answered: Vec<QueryResponse>,
+    answered: Vec<ShardedQueryResponse>,
 }
 
-impl<'a> QueryEngine<'a> {
+impl<'a> ShardedQueryEngine<'a> {
     /// An engine serving `venue` from `registry`, flushing at
     /// [`MAX_MICRO_BATCH`] pending requests. `threads` is the fan-out width
     /// per micro-batch (`0` = auto, `1` = serial; responses are
@@ -58,9 +65,9 @@ impl<'a> QueryEngine<'a> {
         Self::with_max_batch(registry, venue, threads, MAX_MICRO_BATCH)
     }
 
-    /// [`QueryEngine::new`] with an explicit micro-batch capacity, clamped
-    /// to `1..=MAX_MICRO_BATCH`. The capacity changes scheduling (how many
-    /// requests share one model acquisition), never results.
+    /// [`ShardedQueryEngine::new`] with an explicit micro-batch capacity,
+    /// clamped to `1..=MAX_MICRO_BATCH`. The capacity changes scheduling (how
+    /// many requests share one model acquisition), never results.
     pub fn with_max_batch(
         registry: &'a ModelRegistry,
         venue: impl Into<String>,
@@ -105,132 +112,6 @@ impl<'a> QueryEngine<'a> {
         }
         let model = self
             .registry
-            .model(&self.venue)
-            .unwrap_or_else(|| panic!("no model published for venue `{}`", self.venue));
-        let batch = std::mem::take(&mut self.pending);
-        // One Arc acquisition for the whole batch: every response below is
-        // computed by — and attributed to — this one immutable model, no
-        // matter what the registry publishes meanwhile.
-        let generation = model.generation();
-        let positions = rm_runtime::par_map(self.threads, &batch, |_, (_, fingerprint)| {
-            model.estimate(fingerprint)
-        });
-        self.answered
-            .extend(
-                batch
-                    .iter()
-                    .zip(positions)
-                    .map(|(&(index, _), position)| QueryResponse {
-                        index,
-                        position,
-                        generation,
-                    }),
-            );
-    }
-
-    /// Flushes any partial batch and returns every response answered since
-    /// the last drain, in submission order.
-    pub fn drain(&mut self) -> Vec<QueryResponse> {
-        self.flush();
-        std::mem::take(&mut self.answered)
-    }
-
-    /// Convenience for replaying a fixed query log: submits every
-    /// fingerprint, flushes, and returns all responses in submission order.
-    pub fn run_log(&mut self, log: &[Vec<f64>]) -> Vec<QueryResponse> {
-        for fingerprint in log {
-            self.submit(fingerprint.clone());
-        }
-        self.drain()
-    }
-}
-
-/// One answered query against a sharded venue.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedQueryResponse {
-    /// Position of the query in this engine's submission order (0-based).
-    pub index: u64,
-    /// The estimated location (cross-shard re-rank; see
-    /// [`ShardedVenueModel`](crate::model::ShardedVenueModel)).
-    pub position: Option<Point>,
-    /// The primary shard the query routed to (AP overlap, ties by nearest
-    /// signal centroid).
-    pub shard: usize,
-    /// The generation of the primary shard's model — after an incremental
-    /// republish, queries routing to clean shards keep reporting those
-    /// shards' old generations.
-    pub generation: u64,
-}
-
-/// The sharded counterpart of [`QueryEngine`]: batching, flush rules, and
-/// determinism contract are identical, but each flush acquires the venue's
-/// composed [`ShardedVenueModel`](crate::model::ShardedVenueModel) once, and
-/// every response carries the primary shard it routed to plus that shard's
-/// generation. A batch can therefore never straddle a per-shard republish:
-/// all its answers come from one consistent set of shard models.
-pub struct ShardedQueryEngine<'a> {
-    registry: &'a ModelRegistry,
-    venue: String,
-    threads: usize,
-    max_batch: usize,
-    next_index: u64,
-    pending: Vec<(u64, Vec<f64>)>,
-    answered: Vec<ShardedQueryResponse>,
-}
-
-impl<'a> ShardedQueryEngine<'a> {
-    /// An engine serving the sharded venue `venue` from `registry`, flushing
-    /// at [`MAX_MICRO_BATCH`] pending requests (`threads` as in
-    /// [`QueryEngine::new`]).
-    pub fn new(registry: &'a ModelRegistry, venue: impl Into<String>, threads: usize) -> Self {
-        Self::with_max_batch(registry, venue, threads, MAX_MICRO_BATCH)
-    }
-
-    /// [`ShardedQueryEngine::new`] with an explicit micro-batch capacity,
-    /// clamped to `1..=MAX_MICRO_BATCH`. Capacity changes scheduling, never
-    /// results.
-    pub fn with_max_batch(
-        registry: &'a ModelRegistry,
-        venue: impl Into<String>,
-        threads: usize,
-        max_batch: usize,
-    ) -> Self {
-        Self {
-            registry,
-            venue: venue.into(),
-            threads,
-            max_batch: max_batch.clamp(1, MAX_MICRO_BATCH),
-            next_index: 0,
-            pending: Vec::new(),
-            answered: Vec::new(),
-        }
-    }
-
-    /// The venue this engine serves.
-    pub fn venue(&self) -> &str {
-        &self.venue
-    }
-
-    /// Enqueues one query; flushes automatically when the micro-batch is
-    /// full. Returns the query's submission index.
-    pub fn submit(&mut self, fingerprint: Vec<f64>) -> u64 {
-        let index = self.next_index;
-        self.next_index += 1;
-        self.pending.push((index, fingerprint));
-        if self.pending.len() >= self.max_batch {
-            self.flush();
-        }
-        index
-    }
-
-    /// Flushes the pending (possibly partial) micro-batch. Panics if no
-    /// sharded model was ever published for this venue.
-    pub fn flush(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let model = self
-            .registry
             .sharded_model(&self.venue)
             .unwrap_or_else(|| panic!("no sharded model published for venue `{}`", self.venue));
         let batch = std::mem::take(&mut self.pending);
@@ -257,8 +138,8 @@ impl<'a> ShardedQueryEngine<'a> {
         std::mem::take(&mut self.answered)
     }
 
-    /// Submits every fingerprint of a fixed query log, flushes, and returns
-    /// all responses in submission order.
+    /// Convenience for replaying a fixed query log: submits every
+    /// fingerprint, flushes, and returns all responses in submission order.
     pub fn run_log(&mut self, log: &[Vec<f64>]) -> Vec<ShardedQueryResponse> {
         for fingerprint in log {
             self.submit(fingerprint.clone());
@@ -280,10 +161,11 @@ mod tests {
         let fingerprints: Vec<Vec<f64>> = (0..4).map(|i| vec![-50.0 - 10.0 * i as f64]).collect();
         let locations = (0..4).map(|i| Point::new(i as f64, 0.0)).collect();
         let registry = ModelRegistry::new();
-        registry.publish(
-            VenueSnapshot {
+        registry.publish_sharded(
+            crate::tests::single_shard(VenueSnapshot {
                 venue: "v".into(),
                 map: DenseRadioMap::new(fingerprints, locations, 1),
+                records: (0..4).collect(),
                 mask: MaskMatrix::all_observed(4, 1),
                 estimator: EstimatorKind::Knn,
                 knn_k: 1,
@@ -291,7 +173,7 @@ mod tests {
                 precision: Precision::F64,
                 snapshot_dtype: SnapshotDtype::Native,
                 tensors: Vec::new(),
-            },
+            }),
             1,
         );
         registry
@@ -300,12 +182,13 @@ mod tests {
     #[test]
     fn responses_arrive_in_submission_order_with_generations() {
         let registry = registry_with_grid();
-        let mut engine = QueryEngine::with_max_batch(&registry, "v", 1, 2);
+        let mut engine = ShardedQueryEngine::with_max_batch(&registry, "v", 1, 2);
         let log: Vec<Vec<f64>> = vec![vec![-50.0], vec![-70.0], vec![-60.0]];
         let responses = engine.run_log(&log);
         assert_eq!(responses.len(), 3);
         for (i, r) in responses.iter().enumerate() {
             assert_eq!(r.index, i as u64);
+            assert_eq!(r.shard, 0);
             assert_eq!(r.generation, 1);
         }
         assert_eq!(responses[0].position.unwrap().x, 0.0);
@@ -316,7 +199,7 @@ mod tests {
     #[test]
     fn submit_autoflushes_at_capacity_and_drain_flushes_the_rest() {
         let registry = registry_with_grid();
-        let mut engine = QueryEngine::with_max_batch(&registry, "v", 1, 2);
+        let mut engine = ShardedQueryEngine::with_max_batch(&registry, "v", 1, 2);
         engine.submit(vec![-50.0]);
         assert!(engine.answered.is_empty());
         engine.submit(vec![-60.0]); // fills the batch → autoflush
@@ -332,17 +215,17 @@ mod tests {
     #[test]
     fn capacity_is_clamped_to_the_micro_batch_bound() {
         let registry = registry_with_grid();
-        let engine = QueryEngine::with_max_batch(&registry, "v", 1, 10_000);
+        let engine = ShardedQueryEngine::with_max_batch(&registry, "v", 1, 10_000);
         assert_eq!(engine.max_batch, MAX_MICRO_BATCH);
-        let engine = QueryEngine::with_max_batch(&registry, "v", 1, 0);
+        let engine = ShardedQueryEngine::with_max_batch(&registry, "v", 1, 0);
         assert_eq!(engine.max_batch, 1);
     }
 
     #[test]
-    #[should_panic(expected = "no model published for venue")]
+    #[should_panic(expected = "no sharded model published for venue")]
     fn flushing_against_an_unpublished_venue_panics() {
         let registry = ModelRegistry::new();
-        let mut engine = QueryEngine::new(&registry, "ghost", 1);
+        let mut engine = ShardedQueryEngine::new(&registry, "ghost", 1);
         engine.submit(vec![-50.0]);
         engine.flush();
     }
@@ -351,9 +234,9 @@ mod tests {
     fn batch_capacity_changes_scheduling_never_results() {
         let registry = registry_with_grid();
         let log: Vec<Vec<f64>> = (0..37).map(|i| vec![-45.0 - (i as f64) * 1.3]).collect();
-        let reference = QueryEngine::with_max_batch(&registry, "v", 1, 1).run_log(&log);
+        let reference = ShardedQueryEngine::with_max_batch(&registry, "v", 1, 1).run_log(&log);
         for capacity in [2, 7, MAX_MICRO_BATCH] {
-            let got = QueryEngine::with_max_batch(&registry, "v", 1, capacity).run_log(&log);
+            let got = ShardedQueryEngine::with_max_batch(&registry, "v", 1, capacity).run_log(&log);
             assert_eq!(got, reference, "capacity {capacity} changed responses");
         }
     }

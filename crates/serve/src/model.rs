@@ -1,7 +1,8 @@
 //! A loaded, immutable venue model: the unit the registry swaps and the
-//! query engine estimates against. Sharded venues load one [`ShardModel`]
-//! per spatial shard and compose them into a [`ShardedVenueModel`] whose
-//! answers match whole-venue serving via a cross-shard candidate re-rank.
+//! query engine estimates against. A venue loads one [`ShardModel`] per
+//! spatial shard and composes them into a [`ShardedVenueModel`] whose
+//! answers at N shards match the same venue served at 1 shard via a
+//! cross-shard candidate re-rank.
 
 use std::sync::Arc;
 
@@ -13,67 +14,6 @@ use rm_positioning::{
 };
 use rm_radiomap::{VenueShards, MNAR_FILL_VALUE};
 
-/// An immutable serving model for one venue: the decoded [`VenueSnapshot`]
-/// plus the location estimator built from it, tagged with the registry
-/// generation that published it.
-///
-/// Loading is deterministic — the estimator is built from the snapshot's
-/// radio map with the snapshot's configuration, the same construction the
-/// offline pipeline uses — so a model loaded from a persisted artifact
-/// answers every query bit-identically to the offline
-/// `evaluate_estimator` path over the same snapshot. Models are never
-/// mutated after construction; the registry retires whole models by
-/// swapping `Arc`s.
-pub struct VenueModel {
-    snapshot: VenueSnapshot,
-    estimator: Box<dyn LocationEstimator>,
-    generation: u64,
-}
-
-impl VenueModel {
-    /// Builds the serving model for `snapshot` under registry `generation`.
-    /// `threads` bounds the estimator's training-time fan-out (`0` = auto;
-    /// only the random forest trains) — the built model is bit-identical at
-    /// any value.
-    pub fn load(snapshot: VenueSnapshot, generation: u64, threads: usize) -> Self {
-        let estimator =
-            snapshot
-                .estimator
-                .build_threads(snapshot.map.clone(), snapshot.knn_k, threads);
-        Self {
-            snapshot,
-            estimator,
-            generation,
-        }
-    }
-
-    /// The venue this model serves.
-    pub fn venue(&self) -> &str {
-        &self.snapshot.venue
-    }
-
-    /// The registry generation that published this model.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The snapshot this model was loaded from.
-    pub fn snapshot(&self) -> &VenueSnapshot {
-        &self.snapshot
-    }
-
-    /// Estimates the location of a device reporting `fingerprint` — exactly
-    /// [`LocationEstimator::estimate`] on the model's estimator.
-    pub fn estimate(&self, fingerprint: &[f64]) -> Option<Point> {
-        self.estimator.estimate(fingerprint)
-    }
-
-    /// The estimator's display name (for reports).
-    pub fn estimator_name(&self) -> &'static str {
-        self.estimator.name()
-    }
-}
-
 /// The ranking core of one shard: KNN-family estimators keep the concrete
 /// [`Knn`] so the venue model can merge their per-shard candidates exactly;
 /// anything else serves through the trait object and answers shard-locally.
@@ -84,14 +24,17 @@ enum ShardEstimator {
 }
 
 /// An immutable serving model for one spatial shard — the per-shard publish
-/// unit. Like [`VenueModel`] it is never mutated after construction; an
-/// incremental republish swaps a single shard's `Arc` and leaves the clean
-/// shards' models (and generations) untouched.
+/// unit. Loading is deterministic: the estimator is built from the shard
+/// snapshot's radio map with the snapshot's configuration, the same
+/// construction the offline pipeline uses. A shard model is never mutated
+/// after construction; an incremental republish swaps a single shard's `Arc`
+/// and leaves the clean shards' models (and generations) untouched.
 pub struct ShardModel {
     snapshot: VenueSnapshot,
     estimator: ShardEstimator,
-    /// Global record index per shard-local row (the shard's sorted member
-    /// list) — rewrites local candidate indices into the venue-wide space.
+    /// Global record index per row of the shard's map (the shard's sorted
+    /// member list, restricted to the records that have a location) —
+    /// rewrites local candidate indices into the venue-wide space.
     global_indices: Vec<usize>,
     /// Per-AP coverage: `true` when any record in this shard hears the AP
     /// above the −100 dBm floor. Drives AP-overlap routing.
@@ -105,20 +48,25 @@ pub struct ShardModel {
 
 impl ShardModel {
     /// Builds the serving model for one shard under registry `generation`.
-    /// `global_indices` is the shard's member list (shard-local row →
-    /// global record index); `threads` bounds estimator training as in
-    /// [`VenueModel::load`].
+    /// `members` is the shard's member list (shard-local record → global
+    /// record index); `threads` bounds the estimator's training-time
+    /// fan-out (`0` = auto; only the random forest trains) — the built model
+    /// is bit-identical at any value.
+    ///
+    /// # Panics
+    /// Panics when the snapshot's row records do not fit `members`.
     pub fn load(
         snapshot: VenueSnapshot,
-        global_indices: Vec<usize>,
+        members: &[usize],
         generation: u64,
         threads: usize,
     ) -> Self {
-        assert_eq!(
-            snapshot.map.len(),
-            global_indices.len(),
+        assert!(
+            snapshot.records.len() == snapshot.map.len()
+                && snapshot.records.iter().all(|&r| r < members.len()),
             "shard member list does not match its snapshot"
         );
+        let global_indices = snapshot.records.iter().map(|&r| members[r]).collect();
         let estimator = match snapshot.estimator {
             EstimatorKind::Knn => {
                 ShardEstimator::Knn(Knn::new(snapshot.map.clone(), snapshot.knn_k))
@@ -227,13 +175,18 @@ impl ShardModel {
 /// centroid, then lowest shard id) — that shard's generation stamps the
 /// response. For the KNN-family estimators the **answer** is computed by
 /// cross-shard re-rank: every shard contributes its top-`k` candidates with
-/// global record indices, the union is merged exactly like the whole-venue
+/// global record indices, the union is merged exactly like the whole-map
 /// scan (ascending exact distance, ties by global index) and folded with the
-/// same arithmetic — so a sharded model answers bit-identically to the
-/// whole-venue model over the merged map whenever the per-shard quantized
+/// same arithmetic — so a model at N shards answers bit-identically to the
+/// 1-shard model over the merged map whenever the per-shard quantized
 /// windows capture their true top-`k` (the same standing assumption the
-/// whole-venue scan makes). Non-ranking estimators (the forest) answer from
+/// whole-map scan makes). Non-ranking estimators (the forest) answer from
 /// the primary shard alone.
+///
+/// A venue served whole is the 1-shard case: its one shard holds every
+/// record (those the imputer left without a location have no map row), and
+/// each answer equals the offline `evaluate_estimator` path's estimate over
+/// that shard's snapshot bit for bit.
 pub struct ShardedVenueModel {
     venue: String,
     shards: VenueShards,
@@ -266,7 +219,7 @@ impl ShardedVenueModel {
             .map(|(shard, (snap, &generation))| {
                 Arc::new(ShardModel::load(
                     snap,
-                    shards.members_of(shard).to_vec(),
+                    shards.members_of(shard),
                     generation,
                     threads,
                 ))
@@ -388,6 +341,7 @@ mod tests {
                 vec![Point::new(0.0, 0.0), Point::new(10.0, 0.0)],
                 2,
             ),
+            records: vec![0, 1],
             mask: MaskMatrix::all_observed(2, 2),
             estimator: EstimatorKind::Knn,
             knn_k: 1,
@@ -400,11 +354,12 @@ mod tests {
 
     #[test]
     fn load_builds_the_configured_estimator() {
-        let model = VenueModel::load(snapshot(), 3, 1);
+        let model = ShardedVenueModel::load(crate::tests::single_shard(snapshot()), &[3], 1);
         assert_eq!(model.venue(), "t");
+        assert_eq!(model.num_shards(), 1);
         assert_eq!(model.generation(), 3);
-        assert_eq!(model.estimator_name(), "KNN");
-        assert_eq!(model.snapshot().knn_k, 1);
+        assert_eq!(model.models()[0].snapshot().estimator, EstimatorKind::Knn);
+        assert_eq!(model.models()[0].snapshot().knn_k, 1);
         // 1-NN on an exact fingerprint returns its reference point.
         let p = model.estimate(&[-50.0, -90.0]).unwrap();
         assert_eq!((p.x, p.y), (0.0, 0.0));
@@ -414,6 +369,7 @@ mod tests {
     #[test]
     fn venue_model_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<VenueModel>();
+        assert_send_sync::<ShardedVenueModel>();
+        assert_send_sync::<ShardModel>();
     }
 }

@@ -7,38 +7,38 @@ use std::sync::{Arc, RwLock};
 use radiomap_core::{ShardedVenueSnapshot, VenueSnapshot};
 use rm_radiomap::VenueShards;
 
-use crate::model::{ShardModel, ShardedVenueModel, VenueModel};
+use crate::model::{ShardModel, ShardedVenueModel};
 
-/// A registry of live [`VenueModel`]s, one slot per venue, with
+/// A registry of live [`ShardedVenueModel`]s, one slot per venue, with
 /// atomic-swap semantics:
 ///
 /// * **No torn models.** A reader clones the venue's current
-///   `Arc<VenueModel>` under a read lock and works against that immutable
-///   model from then on; [`ModelRegistry::publish`] builds the replacement
-///   *outside* the lock and swaps the `Arc` in one write-locked assignment.
+///   `Arc<ShardedVenueModel>` under a read lock and works against that
+///   immutable model from then on; publishers build the replacement
+///   *outside* the lock and swap the `Arc` in one write-locked assignment.
 ///   Every query therefore observes exactly one complete model — there is
 ///   no intermediate state to observe.
-/// * **Monotonic generations.** Each publish stamps its model from a
+/// * **Monotonic generations.** Each publish stamps its shard models from a
 ///   process-wide counter, so any response can be attributed to exactly one
 ///   generation and swaps are totally ordered.
 /// * **Prompt retirement.** The swapped-out `Arc` is returned to the
 ///   publisher; once the last in-flight batch drops its clone, the retired
-///   model (radio map, tensors, estimator) is freed — pinned by the
+///   model (radio maps, tensors, estimators) is freed — pinned by the
 ///   hot-reload stress test via a `Weak` upgrade.
+/// * **No poisoning.** Nothing panics while the write lock is held, so a
+///   misdirected publish never takes other venues down with it.
 ///
 /// Venue slots are kept sorted by name (binary-searched, no unordered
 /// containers in the serving path).
 #[derive(Default)]
 pub struct ModelRegistry {
-    /// Sorted by venue name; the `Arc` per slot is the swap unit.
-    models: RwLock<Vec<(String, Arc<VenueModel>)>>,
-    /// Sharded venues, sorted by name. The swap unit is the composed venue
-    /// `Arc`, but an incremental publish rebuilds only the dirty shard's
+    /// Sorted by venue name. The swap unit is the composed venue `Arc`, but
+    /// an incremental publish rebuilds only the dirty shard's
     /// [`ShardModel`] — the clean shards' `Arc`s (and generations) are
     /// carried over unchanged.
-    sharded: RwLock<Vec<(String, Arc<ShardedVenueModel>)>>,
+    models: RwLock<Vec<(String, Arc<ShardedVenueModel>)>>,
     /// Monotonic generation source; the first publish is generation 1.
-    /// Shared between whole-venue and per-shard publishes, so every swap in
+    /// Shared between venue and per-shard publishes, so every swap in
     /// the process is totally ordered.
     generations: AtomicU64,
 }
@@ -49,17 +49,25 @@ impl ModelRegistry {
         Self::default()
     }
 
-    /// Builds a model from `snapshot` and publishes it under the snapshot's
-    /// venue name, replacing any current model for that venue. Returns the
-    /// retired model (`None` on first publish), whose memory is freed once
-    /// the last in-flight reader drops its `Arc`.
+    /// Builds one [`ShardModel`] per shard of `snapshot` and publishes the
+    /// composed [`ShardedVenueModel`] under the snapshot's venue name,
+    /// replacing any current model for that venue. Every shard gets its own
+    /// generation stamp (in shard-id order). Returns the retired venue model
+    /// (`None` on first publish), whose memory is freed once the last
+    /// in-flight reader drops its `Arc`.
     ///
     /// The expensive part — estimator construction — happens before the
     /// write lock is taken, so concurrent readers are only blocked for the
     /// duration of one pointer swap.
-    pub fn publish(&self, snapshot: VenueSnapshot, threads: usize) -> Option<Arc<VenueModel>> {
-        let generation = self.generations.fetch_add(1, Ordering::Relaxed) + 1;
-        let model = Arc::new(VenueModel::load(snapshot, generation, threads));
+    pub fn publish_sharded(
+        &self,
+        snapshot: ShardedVenueSnapshot,
+        threads: usize,
+    ) -> Option<Arc<ShardedVenueModel>> {
+        let generations: Vec<u64> = (0..snapshot.snapshots.len())
+            .map(|_| self.generations.fetch_add(1, Ordering::Relaxed) + 1)
+            .collect();
+        let model = Arc::new(ShardedVenueModel::load(snapshot, &generations, threads));
         let venue = model.venue().to_string();
         let mut slots = self.models.write().expect("registry lock poisoned");
         match slots.binary_search_by(|(name, _)| name.as_str().cmp(&venue)) {
@@ -71,44 +79,19 @@ impl ModelRegistry {
         }
     }
 
-    /// Builds one [`ShardModel`] per shard of `snapshot` and publishes the
-    /// composed [`ShardedVenueModel`] under the snapshot's venue name. Every
-    /// shard gets its own generation stamp (in shard-id order). Returns the
-    /// retired venue model, as [`ModelRegistry::publish`] does.
-    ///
-    /// Like the unsharded path, all estimator construction happens outside
-    /// the write lock; readers only ever see a torn-free pointer swap.
-    pub fn publish_sharded(
-        &self,
-        snapshot: ShardedVenueSnapshot,
-        threads: usize,
-    ) -> Option<Arc<ShardedVenueModel>> {
-        let generations: Vec<u64> = (0..snapshot.snapshots.len())
-            .map(|_| self.generations.fetch_add(1, Ordering::Relaxed) + 1)
-            .collect();
-        let model = Arc::new(ShardedVenueModel::load(snapshot, &generations, threads));
-        let venue = model.venue().to_string();
-        let mut slots = self.sharded.write().expect("registry lock poisoned");
-        match slots.binary_search_by(|(name, _)| name.as_str().cmp(&venue)) {
-            Ok(i) => Some(std::mem::replace(&mut slots[i].1, model)),
-            Err(i) => {
-                slots.insert(i, (venue, model));
-                None
-            }
-        }
-    }
-
     /// Incrementally republishes **one** shard of an already-published
-    /// sharded venue: builds the replacement [`ShardModel`] from
-    /// `snapshot` (stamped with a fresh generation), carries every clean
-    /// shard's `Arc` over untouched, and swaps the composed venue model.
-    /// `shards` is the venue's current partition — ingest may have appended
-    /// records, so the dirty shard's member list (and the routing centroids)
-    /// ride along with the republish. Returns the retired shard model.
+    /// venue: builds the replacement [`ShardModel`] from `snapshot` (stamped
+    /// with a fresh generation), carries every clean shard's `Arc` over
+    /// untouched, and swaps the composed venue model. `shards` is the
+    /// venue's current partition — ingest may have appended records, so the
+    /// dirty shard's member list (and the routing centroids) ride along with
+    /// the republish. Returns the retired shard model.
     ///
     /// # Panics
-    /// Panics when the venue was never sharded-published or `shard` is out
-    /// of range — republishing into the void is a deployment error.
+    /// Panics when the venue was never published or `shard` is out of range
+    /// — republishing into the void is a deployment error. The panic is
+    /// raised after the write lock is released, so the registry stays
+    /// usable for every other venue.
     pub fn publish_shard(
         &self,
         venue: &str,
@@ -124,35 +107,34 @@ impl ModelRegistry {
         // concurrent publish of another shard is never discarded.
         let replacement = Arc::new(ShardModel::load(
             snapshot,
-            shards.members_of(shard).to_vec(),
+            shards.members_of(shard),
             generation,
             threads,
         ));
-        let mut slots = self.sharded.write().expect("registry lock poisoned");
-        match slots.binary_search_by(|(name, _)| name.as_str().cmp(venue)) {
-            Ok(i) => {
-                let composed = Arc::new(slots[i].1.with_shard(shard, replacement, shards.clone()));
-                let retired = std::mem::replace(&mut slots[i].1, composed);
-                Arc::clone(&retired.models()[shard])
+        let retired = {
+            let mut slots = self.models.write().expect("registry lock poisoned");
+            match slots.binary_search_by(|(name, _)| name.as_str().cmp(venue)) {
+                Ok(i) if shard < slots[i].1.num_shards() => {
+                    let composed =
+                        Arc::new(slots[i].1.with_shard(shard, replacement, shards.clone()));
+                    let retired = std::mem::replace(&mut slots[i].1, composed);
+                    Ok(Arc::clone(&retired.models()[shard]))
+                }
+                Ok(i) => Err(format!(
+                    "shard {shard} out of range for venue `{venue}` ({} shards published)",
+                    slots[i].1.num_shards()
+                )),
+                Err(_) => Err(format!("no sharded model published for venue `{venue}`")),
             }
-            Err(_) => panic!("no sharded model published for venue `{venue}`"),
-        }
+        };
+        retired.unwrap_or_else(|message| panic!("{message}"))
     }
 
-    /// The current sharded model for `venue`, or `None` if nothing sharded
-    /// was published under that name.
+    /// The current model for `venue`, or `None` if nothing was published
+    /// under that name. The returned `Arc` stays valid (and immutable)
+    /// across any number of concurrent publishes — it just stops being
+    /// current.
     pub fn sharded_model(&self, venue: &str) -> Option<Arc<ShardedVenueModel>> {
-        let slots = self.sharded.read().expect("registry lock poisoned");
-        slots
-            .binary_search_by(|(name, _)| name.as_str().cmp(venue))
-            .ok()
-            .map(|i| Arc::clone(&slots[i].1))
-    }
-
-    /// The current model for `venue`, or `None` if nothing was published.
-    /// The returned `Arc` stays valid (and immutable) across any number of
-    /// concurrent publishes — it just stops being current.
-    pub fn model(&self, venue: &str) -> Option<Arc<VenueModel>> {
         let slots = self.models.read().expect("registry lock poisoned");
         slots
             .binary_search_by(|(name, _)| name.as_str().cmp(venue))
@@ -175,15 +157,18 @@ impl ModelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::single_shard;
     use radiomap_core::prelude::EstimatorKind;
     use rm_geometry::Point;
     use rm_radiomap::{DenseRadioMap, MaskMatrix};
     use rm_tensor::{Precision, SnapshotDtype};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn snapshot(venue: &str, x: f64) -> VenueSnapshot {
         VenueSnapshot {
             venue: venue.into(),
             map: DenseRadioMap::new(vec![vec![-50.0]], vec![Point::new(x, 0.0)], 1),
+            records: vec![0],
             mask: MaskMatrix::all_observed(1, 1),
             estimator: EstimatorKind::Knn,
             knn_k: 1,
@@ -198,27 +183,34 @@ mod tests {
     fn publish_and_lookup_by_venue() {
         let registry = ModelRegistry::new();
         assert_eq!(registry.generation(), 0);
-        assert!(registry.model("a").is_none());
-        assert!(registry.publish(snapshot("b", 1.0), 1).is_none());
-        assert!(registry.publish(snapshot("a", 2.0), 1).is_none());
+        assert!(registry.sharded_model("a").is_none());
+        assert!(registry.venues().is_empty());
+        assert!(registry
+            .publish_sharded(single_shard(snapshot("b", 1.0)), 1)
+            .is_none());
+        assert!(registry
+            .publish_sharded(single_shard(snapshot("a", 2.0)), 1)
+            .is_none());
         assert_eq!(registry.venues(), ["a", "b"]);
-        assert_eq!(registry.model("a").unwrap().generation(), 2);
-        assert_eq!(registry.model("b").unwrap().generation(), 1);
+        assert_eq!(registry.sharded_model("a").unwrap().generation(), 2);
+        assert_eq!(registry.sharded_model("b").unwrap().generation(), 1);
         assert_eq!(registry.generation(), 2);
     }
 
     #[test]
     fn republish_swaps_and_returns_the_retired_model() {
         let registry = ModelRegistry::new();
-        registry.publish(snapshot("v", 1.0), 1);
-        let held = registry.model("v").unwrap();
-        let retired = registry.publish(snapshot("v", 9.0), 1).unwrap();
+        registry.publish_sharded(single_shard(snapshot("v", 1.0)), 1);
+        let held = registry.sharded_model("v").unwrap();
+        let retired = registry
+            .publish_sharded(single_shard(snapshot("v", 9.0)), 1)
+            .unwrap();
         assert_eq!(retired.generation(), 1);
         // The held Arc still answers from generation 1 — immutable, not torn.
         assert_eq!(held.generation(), 1);
         assert_eq!(held.estimate(&[-50.0]).unwrap().x, 1.0);
         // The current model is the new generation.
-        let current = registry.model("v").unwrap();
+        let current = registry.sharded_model("v").unwrap();
         assert_eq!(current.generation(), 2);
         assert_eq!(current.estimate(&[-50.0]).unwrap().x, 9.0);
     }
@@ -226,15 +218,59 @@ mod tests {
     #[test]
     fn retired_models_are_freed_when_the_last_reader_drops() {
         let registry = ModelRegistry::new();
-        registry.publish(snapshot("v", 1.0), 1);
-        let weak = Arc::downgrade(&registry.model("v").unwrap());
+        registry.publish_sharded(single_shard(snapshot("v", 1.0)), 1);
+        let weak = Arc::downgrade(&registry.sharded_model("v").unwrap());
         assert!(weak.upgrade().is_some());
-        let retired = registry.publish(snapshot("v", 2.0), 1).unwrap();
+        let retired = registry
+            .publish_sharded(single_shard(snapshot("v", 2.0)), 1)
+            .unwrap();
         assert!(weak.upgrade().is_some(), "retired model still held");
         drop(retired);
         assert!(
             weak.upgrade().is_none(),
             "retired generation must be freed once unreferenced"
         );
+    }
+
+    /// A `publish_shard` that panics — unknown venue, or a shard index the
+    /// caller's partition has but the published model does not — must not
+    /// poison the registry for every other venue.
+    #[test]
+    fn a_failed_shard_publish_leaves_other_venues_serving() {
+        let registry = ModelRegistry::new();
+        registry.publish_sharded(single_shard(snapshot("a", 1.0)), 1);
+        // A two-shard partition: shard 1 exists for the caller, not for `a`.
+        let two_shards =
+            VenueShards::from_parts(vec![0, 1], vec![Point::origin(), Point::origin()], vec![])
+                .expect("valid partition");
+
+        let panic_message = |venue: &str, shard: usize| -> String {
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                registry.publish_shard(venue, shard, snapshot(venue, 5.0), &two_shards, 1)
+            }))
+            .err()
+            .expect("publish_shard must panic");
+            *payload
+                .downcast::<String>()
+                .expect("formatted panic message")
+        };
+        let mut x = 1.0;
+        for (venue, shard, expected) in [
+            ("a", 1, "shard 1 out of range for venue `a`"),
+            ("ghost", 0, "no sharded model published for venue `ghost`"),
+        ] {
+            let message = panic_message(venue, shard);
+            // Venue `a` still serves its current model, and can be republished.
+            let served = registry.sharded_model("a").expect("a is still published");
+            assert_eq!(served.estimate(&[-50.0]).unwrap().x, x);
+            assert_eq!(served.num_shards(), 1);
+            x += 1.0;
+            let retired = registry.publish_sharded(single_shard(snapshot("a", x)), 1);
+            assert!(retired.is_some());
+            assert!(message.contains(expected), "{message}");
+        }
+        let current = registry.sharded_model("a").unwrap();
+        assert_eq!(current.estimate(&[-50.0]).unwrap().x, x);
+        assert_eq!(registry.venues(), ["a"]);
     }
 }

@@ -1,12 +1,13 @@
 //! The end-to-end serving suite: offline pipeline → artifact → registry →
-//! batched query engine, proving the three rm-serve contracts.
+//! batched query engine, proving the three rm-serve contracts on venues
+//! served whole (one shard, pinned so `RM_SHARDS` cannot reshard them).
 //!
 //! 1. **Artifact fidelity** — any `VenueSnapshot`, including real pipeline
 //!    exports at every precision × snapshot-dtype combination, round-trips
 //!    through the on-disk format bitwise (property-tested over arbitrary
 //!    bit patterns: NaNs, −0.0, infinities).
-//! 2. **Serving ≡ offline** — a model loaded from a persisted artifact
-//!    answers every query bit-identically to the offline
+//! 2. **Serving ≡ offline** — a 1-shard model loaded from a persisted
+//!    artifact answers every query bit-identically to the offline
 //!    `evaluate_estimator` path, and a fixed query log is bit-identical at
 //!    any thread count.
 //! 3. **Hot reload under load** — concurrent publishes never tear a model:
@@ -15,9 +16,13 @@
 
 use proptest::prelude::*;
 use radiomap_core::prelude::*;
-use radiomap_core::{PipelineConfig, VenueSnapshot};
+use radiomap_core::{PipelineConfig, ShardedVenueSnapshot, VenueSnapshot};
 use rm_positioning::{average_positioning_error, evaluate_estimator_threads};
-use rm_serve::{decode, encode, ModelRegistry, QueryEngine, VenueModel, MAX_MICRO_BATCH};
+use rm_radiomap::VenueShards;
+use rm_serve::{
+    decode, decode_sharded, encode, encode_sharded, ModelRegistry, ShardedQueryEngine,
+    ShardedQueryResponse, ShardedVenueModel, MAX_MICRO_BATCH,
+};
 use rm_tensor::{Bf16Matrix, Matrix, NamedTensor};
 use std::sync::{Arc, Weak};
 
@@ -68,14 +73,16 @@ fn pipeline(
         threads: 1,
         precision,
         snapshot_dtype,
+        shards: Some(1),
         ..PipelineConfig::default()
     })
 }
 
-fn bits_eq_snapshots(a: &VenueSnapshot, b: &VenueSnapshot) -> bool {
-    // The codec is canonical (one encoding per snapshot), so byte equality
-    // of re-encodings is exactly bitwise equality of snapshots.
-    encode(a) == encode(b)
+/// Exports `map` as a venue served whole: one shard holding every record.
+fn export(pipeline: ImputationPipeline, venue: &str, map: &RadioMap) -> ShardedVenueSnapshot {
+    let sharded = pipeline.export_sharded_snapshot(venue, map, &MultiPolygon::empty());
+    assert_eq!(sharded.num_shards(), 1);
+    sharded
 }
 
 // ---------------------------------------------------------------------------
@@ -87,29 +94,35 @@ fn bits_eq_snapshots(a: &VenueSnapshot, b: &VenueSnapshot) -> bool {
 #[test]
 fn pipeline_exports_round_trip_bitwise_across_dtype_combos() {
     let map = survey_map(18, 5);
-    let topology = MultiPolygon::empty();
     for (precision, snapshot_dtype) in [
         (Precision::F64, SnapshotDtype::Native),
         (Precision::F32, SnapshotDtype::Native),
         (Precision::F32, SnapshotDtype::Bf16),
     ] {
-        let snapshot = pipeline(
-            ImputerKind::Brits,
-            EstimatorKind::Knn,
-            precision,
-            snapshot_dtype,
-        )
-        .export_snapshot("e2e", &map, &topology);
+        let sharded = export(
+            pipeline(
+                ImputerKind::Brits,
+                EstimatorKind::Knn,
+                precision,
+                snapshot_dtype,
+            ),
+            "e2e",
+            &map,
+        );
+        let bytes = encode_sharded(&sharded);
+        let decoded = decode_sharded(&bytes).expect("pipeline export decodes");
+        // The codec is canonical (one encoding per snapshot), so byte
+        // equality of re-encodings is exactly bitwise equality of snapshots.
+        assert_eq!(
+            encode_sharded(&decoded),
+            bytes,
+            "{precision:?}/{snapshot_dtype:?} export did not round-trip bitwise"
+        );
+        let (snapshot, decoded) = (&sharded.snapshots[0], &decoded.snapshots[0]);
         assert_eq!(
             snapshot.tensors.len(),
             24,
             "BRITS exports 24 weight tensors"
-        );
-        let bytes = encode(&snapshot);
-        let decoded = decode(&bytes).expect("pipeline export decodes");
-        assert!(
-            bits_eq_snapshots(&snapshot, &decoded),
-            "{precision:?}/{snapshot_dtype:?} export did not round-trip bitwise"
         );
         for (a, b) in snapshot.tensors.iter().zip(&decoded.tensors) {
             assert!(a.bits_eq(b), "tensor {} changed bits", a.name);
@@ -123,24 +136,34 @@ fn pipeline_exports_round_trip_bitwise_across_dtype_combos() {
 #[test]
 fn bf16_artifacts_are_four_times_smaller_in_tensor_payload() {
     let map = survey_map(18, 5);
-    let topology = MultiPolygon::empty();
-    let f64_snapshot = pipeline(
-        ImputerKind::Brits,
-        EstimatorKind::Knn,
-        Precision::F64,
-        SnapshotDtype::Native,
-    )
-    .export_snapshot("e2e", &map, &topology);
-    let bf16_snapshot = pipeline(
-        ImputerKind::Brits,
-        EstimatorKind::Knn,
-        Precision::F32,
-        SnapshotDtype::Bf16,
-    )
-    .export_snapshot("e2e", &map, &topology);
+    let f64_snapshot = export(
+        pipeline(
+            ImputerKind::Brits,
+            EstimatorKind::Knn,
+            Precision::F64,
+            SnapshotDtype::Native,
+        ),
+        "e2e",
+        &map,
+    );
+    let bf16_snapshot = export(
+        pipeline(
+            ImputerKind::Brits,
+            EstimatorKind::Knn,
+            Precision::F32,
+            SnapshotDtype::Bf16,
+        ),
+        "e2e",
+        &map,
+    );
 
-    let payload =
-        |s: &VenueSnapshot| -> usize { s.tensors.iter().map(|t| t.payload.payload_bytes()).sum() };
+    let payload = |s: &ShardedVenueSnapshot| -> usize {
+        s.snapshots[0]
+            .tensors
+            .iter()
+            .map(|t| t.payload.payload_bytes())
+            .sum()
+    };
     let (f64_bytes, bf16_bytes) = (payload(&f64_snapshot), payload(&bf16_snapshot));
     assert!(f64_bytes > 0);
     assert_eq!(
@@ -149,7 +172,7 @@ fn bf16_artifacts_are_four_times_smaller_in_tensor_payload() {
         "same shapes at 8 vs 2 bytes per element"
     );
     assert!(
-        encode(&bf16_snapshot).len() < encode(&f64_snapshot).len(),
+        encode_sharded(&bf16_snapshot).len() < encode_sharded(&f64_snapshot).len(),
         "the artifact as a whole must shrink too"
     );
 }
@@ -176,8 +199,13 @@ fn build_snapshot(seed: u64) -> VenueSnapshot {
     let locations: Vec<Point> = (0..rows)
         .map(|_| Point::new(f64::from_bits(draw()), f64::from_bits(draw())))
         .collect();
-    let mut mask = MaskMatrix::all_observed(rows, num_aps);
-    for r in 0..rows {
+    // Rows sit on every `stride`-th source record, as when the imputer left
+    // the records between them without a location.
+    let stride = 1 + (draw() % 2) as usize;
+    let records: Vec<usize> = (0..rows).map(|r| r * stride).collect();
+    let mask_rows = (rows - 1) * stride + 1;
+    let mut mask = MaskMatrix::all_observed(mask_rows, num_aps);
+    for r in 0..mask_rows {
         for c in 0..num_aps {
             mask.set(r, c, EntryKind::from_i8((draw() % 3) as i8 - 1));
         }
@@ -217,6 +245,7 @@ fn build_snapshot(seed: u64) -> VenueSnapshot {
     VenueSnapshot {
         venue,
         map: DenseRadioMap::new(fingerprints, locations, num_aps),
+        records,
         mask,
         estimator: match draw() % 3 {
             0 => EstimatorKind::Knn,
@@ -312,26 +341,35 @@ fn query_log(snapshot: &VenueSnapshot) -> Vec<TestQuery> {
     queries
 }
 
-/// A model loaded from persisted bytes answers every query bit-identically
-/// to the offline `evaluate_estimator` path over the same snapshot — both
-/// per query and in the aggregated APE metric.
+/// A 1-shard model loaded from persisted bytes answers every query
+/// bit-identically to the offline `evaluate_estimator` path over the same
+/// snapshot — both per query and in the aggregated APE metric. Case
+/// deletion leaves the records without an RP location-less, so its map
+/// holds a third of the survey's records and still serves.
 #[test]
 fn serving_matches_the_offline_estimator_query_for_query() {
     let map = survey_map(24, 6);
-    let topology = MultiPolygon::empty();
-    for estimator_kind in [
-        EstimatorKind::Knn,
-        EstimatorKind::Wknn,
-        EstimatorKind::RandomForest,
+    for (imputer, rows, estimator_kind) in [
+        (ImputerKind::Mice, 24, EstimatorKind::Knn),
+        (ImputerKind::Mice, 24, EstimatorKind::Wknn),
+        (ImputerKind::Mice, 24, EstimatorKind::RandomForest),
+        (ImputerKind::CaseDeletion, 8, EstimatorKind::Knn),
+        (ImputerKind::CaseDeletion, 8, EstimatorKind::Wknn),
+        (ImputerKind::CaseDeletion, 8, EstimatorKind::RandomForest),
     ] {
-        let snapshot = pipeline(
-            ImputerKind::Mice,
-            estimator_kind,
-            Precision::F64,
-            SnapshotDtype::Native,
-        )
-        .export_snapshot("offline-parity", &map, &topology);
-        let queries = query_log(&snapshot);
+        let sharded = export(
+            pipeline(
+                imputer,
+                estimator_kind,
+                Precision::F64,
+                SnapshotDtype::Native,
+            ),
+            "offline-parity",
+            &map,
+        );
+        let snapshot = &sharded.snapshots[0];
+        assert_eq!(snapshot.map.len(), rows, "{imputer:?} map rows");
+        let queries = query_log(snapshot);
 
         // Offline path: estimator built directly from the in-memory snapshot.
         let offline = snapshot
@@ -340,10 +378,10 @@ fn serving_matches_the_offline_estimator_query_for_query() {
         let offline_ape = evaluate_estimator_threads(&*offline, &queries, 1);
 
         // Serving path: artifact bytes → registry → batched engine.
-        let reloaded = decode(&encode(&snapshot)).expect("artifact decodes");
+        let reloaded = decode_sharded(&encode_sharded(&sharded)).expect("artifact decodes");
         let registry = ModelRegistry::new();
-        registry.publish(reloaded, 1);
-        let mut engine = QueryEngine::new(&registry, "offline-parity", 1);
+        registry.publish_sharded(reloaded, 1);
+        let mut engine = ShardedQueryEngine::new(&registry, "offline-parity", 1);
         let log: Vec<Vec<f64>> = queries.iter().map(|q| q.fingerprint.clone()).collect();
         let responses = engine.run_log(&log);
 
@@ -358,7 +396,7 @@ fn serving_matches_the_offline_estimator_query_for_query() {
             assert_eq!(
                 (served.x.to_bits(), served.y.to_bits()),
                 (offline_estimate.x.to_bits(), offline_estimate.y.to_bits()),
-                "{} query diverged between serving and offline",
+                "{imputer:?}/{} query diverged between serving and offline",
                 estimator_kind.name()
             );
             answered.push(served);
@@ -368,7 +406,7 @@ fn serving_matches_the_offline_estimator_query_for_query() {
         assert_eq!(
             served_ape.map(f64::to_bits),
             offline_ape.map(f64::to_bits),
-            "{} APE diverged between serving and offline",
+            "{imputer:?}/{} APE diverged between serving and offline",
             estimator_kind.name()
         );
     }
@@ -379,25 +417,27 @@ fn serving_matches_the_offline_estimator_query_for_query() {
 #[test]
 fn a_fixed_query_log_is_bit_identical_at_any_thread_count() {
     let map = survey_map(24, 6);
-    let topology = MultiPolygon::empty();
-    let snapshot = pipeline(
-        ImputerKind::LinearInterpolation,
-        EstimatorKind::Wknn,
-        Precision::F64,
-        SnapshotDtype::Native,
-    )
-    .export_snapshot("det", &map, &topology);
-    let log: Vec<Vec<f64>> = query_log(&snapshot)
+    let sharded = export(
+        pipeline(
+            ImputerKind::LinearInterpolation,
+            EstimatorKind::Wknn,
+            Precision::F64,
+            SnapshotDtype::Native,
+        ),
+        "det",
+        &map,
+    );
+    let log: Vec<Vec<f64>> = query_log(&sharded.snapshots[0])
         .into_iter()
         .map(|q| q.fingerprint)
         .collect();
     assert!(log.len() > MAX_MICRO_BATCH, "log must span several batches");
 
     let registry = ModelRegistry::new();
-    registry.publish(snapshot, 1);
-    let reference = QueryEngine::new(&registry, "det", 1).run_log(&log);
+    registry.publish_sharded(sharded, 1);
+    let reference = ShardedQueryEngine::new(&registry, "det", 1).run_log(&log);
     for threads in [2, 8, rm_runtime::default_threads(), 0] {
-        let responses = QueryEngine::new(&registry, "det", threads).run_log(&log);
+        let responses = ShardedQueryEngine::new(&registry, "det", threads).run_log(&log);
         assert_eq!(responses.len(), reference.len());
         for (a, b) in reference.iter().zip(&responses) {
             assert_eq!(a.index, b.index);
@@ -417,18 +457,19 @@ fn a_fixed_query_log_is_bit_identical_at_any_thread_count() {
 // 3. Hot reload under load
 // ---------------------------------------------------------------------------
 
-/// A one-RP snapshot whose answer encodes its generation: the model for
-/// generation `g` places its only reference point at `x = g`, so any query
-/// answered by generation `g` must return exactly `Point::new(g, 0.0)` —
-/// response attribution is checkable bit for bit.
-fn generation_snapshot(generation: u64) -> VenueSnapshot {
-    VenueSnapshot {
+/// A one-RP, 1-shard venue whose answer encodes its generation: the model
+/// for generation `g` places its only reference point at `x = g`, so any
+/// query answered by generation `g` must return exactly `Point::new(g, 0.0)`
+/// — response attribution is checkable bit for bit.
+fn generation_snapshot(generation: u64) -> ShardedVenueSnapshot {
+    let snapshot = VenueSnapshot {
         venue: "hot".into(),
         map: DenseRadioMap::new(
             vec![vec![-50.0]],
             vec![Point::new(generation as f64, 0.0)],
             1,
         ),
+        records: vec![0],
         mask: MaskMatrix::all_observed(1, 1),
         estimator: EstimatorKind::Knn,
         knn_k: 1,
@@ -436,6 +477,12 @@ fn generation_snapshot(generation: u64) -> VenueSnapshot {
         precision: Precision::F64,
         snapshot_dtype: SnapshotDtype::Native,
         tensors: Vec::new(),
+    };
+    ShardedVenueSnapshot {
+        venue: snapshot.venue.clone(),
+        snapshots: vec![snapshot],
+        shards: VenueShards::from_parts(vec![0], vec![Point::origin()], Vec::new())
+            .expect("one shard holding the one record"),
     }
 }
 
@@ -451,11 +498,11 @@ fn hot_reload_under_load_never_tears_drops_or_leaks() {
     const QUERIES_PER_CLIENT: usize = 512;
 
     let registry = ModelRegistry::new();
-    registry.publish(generation_snapshot(1), 1);
+    registry.publish_sharded(generation_snapshot(1), 1);
 
     enum ClientResult {
-        Publisher(Vec<Weak<VenueModel>>),
-        Queries(Vec<rm_serve::QueryResponse>),
+        Publisher(Vec<Weak<ShardedVenueModel>>),
+        Queries(Vec<ShardedQueryResponse>),
     }
 
     let clients: Vec<usize> = (0..=QUERY_CLIENTS).collect();
@@ -466,7 +513,7 @@ fn hot_reload_under_load_never_tears_drops_or_leaks() {
             let mut retired_weaks = Vec::new();
             for g in 2..=(SWAPS + 1) {
                 let retired = registry
-                    .publish(generation_snapshot(g), 1)
+                    .publish_sharded(generation_snapshot(g), 1)
                     .expect("every publish after the first retires a model");
                 retired_weaks.push(Arc::downgrade(&retired));
                 drop(retired);
@@ -475,8 +522,12 @@ fn hot_reload_under_load_never_tears_drops_or_leaks() {
         } else {
             // A query client: replay a fixed log in micro-batches while the
             // publisher races. Small batches maximise generation churn.
-            let mut engine =
-                QueryEngine::with_max_batch(&registry, "hot", 1, 1 + client % MAX_MICRO_BATCH);
+            let mut engine = ShardedQueryEngine::with_max_batch(
+                &registry,
+                "hot",
+                1,
+                1 + client % MAX_MICRO_BATCH,
+            );
             let mut responses = Vec::with_capacity(QUERIES_PER_CLIENT);
             for i in 0..QUERIES_PER_CLIENT {
                 engine.submit(vec![-50.0]);
@@ -542,5 +593,8 @@ fn hot_reload_under_load_never_tears_drops_or_leaks() {
             i + 1
         );
     }
-    assert_eq!(registry.model("hot").unwrap().generation(), SWAPS + 1);
+    assert_eq!(
+        registry.sharded_model("hot").unwrap().generation(),
+        SWAPS + 1
+    );
 }

@@ -1,10 +1,9 @@
 //! The sharded-serving suite: sharded pipeline export → sharded container →
 //! registry → routed query engine, proving the per-shard serving contracts.
 //!
-//! 1. **Sharded ≡ whole-venue** — for the KNN-family estimators, a sharded
-//!    model answers every query bit-identically to the whole-venue model
-//!    over the same records (cross-shard re-rank), and a shard count of 1
-//!    reproduces the unsharded artifact byte for byte.
+//! 1. **N shards ≡ 1 shard** — for the KNN-family estimators, a model at N
+//!    shards answers every query bit-identically to the same venue served
+//!    at 1 shard (cross-shard re-rank).
 //! 2. **Incremental republish** — ingesting a survey log dirties exactly
 //!    the shards it touches; republishing them swaps only those shards'
 //!    `Arc`s and generations while the clean shards are carried over
@@ -18,10 +17,7 @@ use std::sync::Arc;
 use radiomap_core::prelude::*;
 use radiomap_core::{LiveVenue, PipelineConfig};
 use rm_radiomap::MNAR_FILL_VALUE;
-use rm_serve::{
-    decode_sharded, encode, encode_sharded, load_sharded_artifact, save_sharded_artifact,
-    ModelRegistry, QueryEngine, ShardedQueryEngine,
-};
+use rm_serve::{decode_sharded, encode, encode_sharded, ModelRegistry, ShardedQueryEngine};
 
 // ---------------------------------------------------------------------------
 // Fixtures
@@ -35,9 +31,9 @@ const NUM_APS: usize = 8;
 /// lives around `x = 50 p` and hears APs `2p` and `2p + 1` (the rest are
 /// missing → MAR → filled with the −100 floor). Every record carries its RP,
 /// so the MAR-only + linear-interpolation pipeline is seed-free and
-/// record-local — a per-shard imputation produces exactly the whole-venue
+/// record-local — a per-shard imputation produces exactly the 1-shard
 /// imputation restricted to the shard's members, which is what lets the
-/// sharded-vs-whole comparisons below assert bitwise equality.
+/// N-vs-1-shard comparisons below assert bitwise equality.
 fn multi_path_map() -> RadioMap {
     let mut records = Vec::new();
     for path in 0..NUM_PATHS {
@@ -100,23 +96,52 @@ fn query_log(map: &RadioMap) -> Vec<Vec<f64>> {
 }
 
 // ---------------------------------------------------------------------------
-// 1. Sharded ≡ whole-venue
+// 1. N shards ≡ 1 shard
 // ---------------------------------------------------------------------------
 
-/// For both KNN-family estimators, the sharded engine (serving a container
-/// that went through the sharded codec) answers every query bit-identically
-/// to the whole-venue engine over the same records.
+/// For both KNN-family estimators, the engine serving the venue at
+/// `NUM_PATHS` shards (from a container that went through the sharded codec)
+/// answers every query bit-identically to the same venue served whole, at 1
+/// shard.
 #[test]
 fn sharded_serving_answers_match_whole_venue_serving_bitwise() {
-    let map = multi_path_map();
+    assert_sharded_serving_matches_one_shard(&multi_path_map(), NUM_PATHS);
+}
+
+/// A path surveyed without any reference point leaves its records without a
+/// location after interpolation, so they have no row in their shard's map;
+/// the venue still serves, at `NUM_PATHS - 1` shards (an unlocated path
+/// joins shard 0) bit-identically to 1 shard.
+#[test]
+fn location_less_records_serve_identically_at_any_shard_count() {
+    let mut map = multi_path_map();
+    for record in map.records_mut() {
+        if record.path_id == NUM_PATHS - 1 {
+            record.rp = None;
+        }
+    }
+    let whole = ImputationPipeline::new(seedfree_config(EstimatorKind::Knn, 1))
+        .export_sharded_snapshot("whole", &map, &MultiPolygon::empty());
+    assert_eq!(
+        whole.snapshots[0].map.len(),
+        (NUM_PATHS - 1) * RECORDS_PER_PATH,
+        "the unlocated path's records have no row"
+    );
+    assert_sharded_serving_matches_one_shard(&map, NUM_PATHS - 1);
+}
+
+/// Serves `map` at 1 shard and at `NUM_PATHS` requested shards (expecting
+/// `num_shards` of them) and asserts every KNN/WKNN answer is bitwise equal.
+fn assert_sharded_serving_matches_one_shard(map: &RadioMap, num_shards: usize) {
     let topology = MultiPolygon::empty();
     for estimator in [EstimatorKind::Knn, EstimatorKind::Wknn] {
         let whole = ImputationPipeline::new(seedfree_config(estimator, 1))
-            .export_snapshot("venue", &map, &topology);
+            .export_sharded_snapshot("whole", map, &topology);
+        assert_eq!(whole.num_shards(), 1);
         let sharded = ImputationPipeline::new(seedfree_config(estimator, NUM_PATHS))
-            .export_sharded_snapshot("venue", &map, &topology);
-        assert_eq!(sharded.num_shards(), NUM_PATHS);
-        for shard in 0..NUM_PATHS {
+            .export_sharded_snapshot("venue", map, &topology);
+        assert_eq!(sharded.num_shards(), num_shards);
+        for shard in 0..num_shards {
             assert!(
                 !sharded.shards.members_of(shard).is_empty(),
                 "every shard must hold records"
@@ -127,22 +152,22 @@ fn sharded_serving_answers_match_whole_venue_serving_bitwise() {
         // container codec, so the on-disk format is on the serving path.
         let reloaded = decode_sharded(&encode_sharded(&sharded)).expect("container decodes");
         let registry = ModelRegistry::new();
-        registry.publish(whole, 1);
+        registry.publish_sharded(whole, 1);
         registry.publish_sharded(reloaded, 1);
 
-        let log = query_log(&map);
-        let whole_responses = QueryEngine::new(&registry, "venue", 1).run_log(&log);
+        let log = query_log(map);
+        let whole_responses = ShardedQueryEngine::new(&registry, "whole", 1).run_log(&log);
         let sharded_responses = ShardedQueryEngine::new(&registry, "venue", 1).run_log(&log);
         assert_eq!(whole_responses.len(), sharded_responses.len());
         for (whole_response, sharded_response) in whole_responses.iter().zip(&sharded_responses) {
             assert_eq!(whole_response.index, sharded_response.index);
-            assert!(sharded_response.shard < NUM_PATHS);
+            assert!(sharded_response.shard < num_shards);
             let a = whole_response.position.expect("dense maps answer");
             let b = sharded_response.position.expect("dense maps answer");
             assert_eq!(
                 (a.x.to_bits(), a.y.to_bits()),
                 (b.x.to_bits(), b.y.to_bits()),
-                "{} query {} diverged between sharded and whole-venue serving",
+                "{} query {} diverged between {num_shards} shards and 1 shard",
                 estimator.name(),
                 whole_response.index
             );
@@ -175,32 +200,6 @@ fn queries_route_to_the_shard_covering_their_aps() {
             .expect("surveyed path is registered");
         assert_eq!(routed, expected, "path {path} query misrouted");
     }
-}
-
-/// A one-shard container reproduces the unsharded artifact byte for byte,
-/// and the container codec round-trips through the filesystem.
-#[test]
-fn a_single_shard_container_reproduces_the_unsharded_artifact_bitwise() {
-    let map = multi_path_map();
-    let topology = MultiPolygon::empty();
-    let whole = ImputationPipeline::new(seedfree_config(EstimatorKind::Wknn, 1))
-        .export_snapshot("venue", &map, &topology);
-    let sharded = ImputationPipeline::new(seedfree_config(EstimatorKind::Wknn, 1))
-        .export_sharded_snapshot("venue", &map, &topology);
-    assert_eq!(sharded.num_shards(), 1);
-    assert_eq!(
-        encode(&sharded.snapshots[0]),
-        encode(&whole),
-        "shard count 1 must reproduce the unsharded snapshot bitwise"
-    );
-
-    let dir = std::env::temp_dir().join(format!("rm-serve-sharded-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("venue.rmvs");
-    save_sharded_artifact(&path, &sharded).unwrap();
-    let loaded = load_sharded_artifact(&path).unwrap();
-    assert_eq!(encode_sharded(&loaded), encode_sharded(&sharded));
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // ---------------------------------------------------------------------------

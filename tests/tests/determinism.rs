@@ -403,31 +403,37 @@ fn random_forest_evaluation_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// Batched query serving joins the contract (PR 9): a fixed query log
-/// replayed through the `rm-serve` micro-batching engine is bit-identical at
-/// `threads = 1 / 2 / available_parallelism`, and every served position
-/// equals the offline `evaluate_estimator` path's estimate on the same
-/// model — serving a persisted artifact is the same pure function as
-/// evaluating in-process, batched or not.
+/// Batched query serving joins the contract: a fixed query log replayed
+/// through the `rm-serve` micro-batching engine against a venue served whole
+/// (1 shard) is bit-identical at `threads = 1 / 2 / available_parallelism`,
+/// and every served position equals the offline `evaluate_estimator` path's
+/// estimate on the same snapshot — serving a persisted artifact is the same
+/// pure function as evaluating in-process, batched or not.
 #[test]
 fn batched_serving_is_bit_identical_and_equals_the_offline_path() {
-    use rm_serve::{decode, encode, ModelRegistry, QueryEngine};
+    use rm_serve::{decode_sharded, encode_sharded, ModelRegistry, ShardedQueryEngine};
 
     let map = straight_path_map(24, 6);
     let topology = MultiPolygon::empty();
-    let snapshot = ImputationPipeline::new(PipelineConfig {
+    let sharded = ImputationPipeline::new(PipelineConfig {
         differentiator: DifferentiatorKind::MarOnly,
         imputer: ImputerKind::Mice,
         estimator: EstimatorKind::Wknn,
         epochs: Some(2),
         threads: 1,
+        shards: Some(1),
         ..PipelineConfig::default()
     })
-    .export_snapshot("det", &map, &topology);
+    .export_sharded_snapshot("det", &map, &topology);
+    assert_eq!(sharded.num_shards(), 1);
+    let snapshot = &sharded.snapshots[0];
 
     // The serving model comes from persisted bytes, not the live snapshot.
     let registry = ModelRegistry::new();
-    registry.publish(decode(&encode(&snapshot)).expect("artifact decodes"), 1);
+    registry.publish_sharded(
+        decode_sharded(&encode_sharded(&sharded)).expect("artifact decodes"),
+        1,
+    );
 
     // A log long enough to span several 64-query micro-batches.
     let log: Vec<Vec<f64>> = (0..150)
@@ -440,7 +446,7 @@ fn batched_serving_is_bit_identical_and_equals_the_offline_path() {
     let offline = snapshot
         .estimator
         .build_threads(snapshot.map.clone(), snapshot.knn_k, 1);
-    let reference = QueryEngine::new(&registry, "det", 1).run_log(&log);
+    let reference = ShardedQueryEngine::new(&registry, "det", 1).run_log(&log);
     assert_eq!(reference.len(), log.len());
     for (response, fingerprint) in reference.iter().zip(&log) {
         let served = response.position.expect("dense map answers");
@@ -453,7 +459,7 @@ fn batched_serving_is_bit_identical_and_equals_the_offline_path() {
     }
 
     for threads in [2, rm_runtime::default_threads(), 0] {
-        let responses = QueryEngine::new(&registry, "det", threads).run_log(&log);
+        let responses = ShardedQueryEngine::new(&registry, "det", threads).run_log(&log);
         for (a, b) in reference.iter().zip(&responses) {
             let (pa, pb) = (a.position.unwrap(), b.position.unwrap());
             assert_eq!(a.index, b.index);
@@ -498,11 +504,11 @@ fn sharded_exports_are_bit_identical_across_thread_counts() {
 
 /// A shard count of 1 reproduces the unsharded pipeline bitwise — sharding
 /// is a pure partitioning knob, with no hidden perturbation of the seeds or
-/// the imputation itself.
+/// the imputation itself: the 1-shard export's map and mask equal the
+/// unsharded `impute` and `differentiate` outputs bit for bit, and its rows
+/// are the imputed records that have a location.
 #[test]
 fn a_shard_count_of_one_reproduces_the_unsharded_pipeline_bitwise() {
-    use rm_serve::encode;
-
     let map = multi_path_map(3, 6, 6);
     let topology = MultiPolygon::empty();
     let config = || PipelineConfig {
@@ -513,10 +519,37 @@ fn a_shard_count_of_one_reproduces_the_unsharded_pipeline_bitwise() {
         shards: Some(1),
         ..PipelineConfig::default()
     };
-    let whole = ImputationPipeline::new(config()).export_snapshot("det", &map, &topology);
-    let sharded = ImputationPipeline::new(config()).export_sharded_snapshot("det", &map, &topology);
+    let pipeline = ImputationPipeline::new(config());
+    let sharded = pipeline.export_sharded_snapshot("det", &map, &topology);
     assert_eq!(sharded.num_shards(), 1);
-    assert_eq!(encode(&sharded.snapshots[0]), encode(&whole));
+    let exported = &sharded.snapshots[0];
+
+    let (imputed, _) = pipeline.impute(&map, &topology);
+    let unsharded = imputed.to_dense(map.num_aps());
+    let bits = |m: &DenseRadioMap| -> (usize, Vec<u64>, Vec<u64>) {
+        (
+            m.num_aps(),
+            m.fingerprints()
+                .iter()
+                .flatten()
+                .map(|v| v.to_bits())
+                .collect(),
+            m.locations()
+                .iter()
+                .flat_map(|p| [p.x.to_bits(), p.y.to_bits()])
+                .collect(),
+        )
+    };
+    assert_eq!(bits(&exported.map), bits(&unsharded), "1-shard map differs");
+    let located: Vec<usize> = (0..imputed.len())
+        .filter(|&i| imputed.locations[i].is_some())
+        .collect();
+    assert_eq!(exported.records, located, "1-shard row records differ");
+    assert_eq!(
+        exported.mask,
+        pipeline.differentiate(&map, &topology),
+        "1-shard mask differs"
+    );
 }
 
 /// A fixed ingest log replayed through `LiveVenue` is bit-identical at any
