@@ -30,7 +30,7 @@ use rm_geometry::Point;
 use rm_positioning::EstimatorKind;
 use rm_radiomap::{DenseRadioMap, MaskMatrix, VenueShards};
 use rm_serve::{ModelRegistry, ShardedQueryEngine, MAX_MICRO_BATCH};
-use rm_tensor::{Precision, SnapshotDtype};
+use rm_tensor::Precision;
 
 const MAP_RECORDS: usize = 500;
 const NUM_APS: usize = 60;
@@ -54,7 +54,6 @@ fn synthetic_snapshot() -> ShardedVenueSnapshot {
         knn_k: 3,
         seed: 11,
         precision: Precision::F64,
-        snapshot_dtype: SnapshotDtype::Native,
         tensors: Vec::new(),
     };
     ShardedVenueSnapshot {

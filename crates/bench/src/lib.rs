@@ -19,12 +19,9 @@
 //!   thread count, but change which model a fixed seed yields),
 //! * `RM_SEED`   — base RNG seed (default 2023),
 //! * `RM_PRECISION` — inference precision of the neural imputers: `f64`
-//!   (default) or `f32` (single-precision SIMD kernels; see
-//!   [`radiomap_core::Precision`]),
-//! * `RM_SNAPSHOT_DTYPE` — resident storage format of the neural imputers'
-//!   trained inference snapshots: `native` (default) or `bf16` (half the
-//!   resident bytes, decoded per inference task; only meaningful with
-//!   `RM_PRECISION=f32` — see [`radiomap_core::SnapshotDtype`]).
+//!   (default), `f32` (single-precision SIMD kernels) or `bf16` (the f32
+//!   kernels on weights rounded once to bfloat16, exported at 2 bytes per
+//!   weight; see [`radiomap_core::Precision`]).
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -54,10 +51,8 @@ pub fn experiment_seed() -> u64 {
 }
 
 /// The inference precision used by the experiment harness: `RM_PRECISION`
-/// (`f32`/`f64`, case-insensitive) if set and valid, else the `f64` default.
-/// This is how CI runs the whole grid in single-precision mode without a
-/// second binary. Resolved once per process and cached, like
-/// [`experiment_seed`].
+/// (`f64`/`f32`/`bf16`, case-insensitive) if set and valid, else the `f64`
+/// default. Resolved once per process and cached, like [`experiment_seed`].
 pub fn experiment_precision() -> Precision {
     static PRECISION: OnceLock<Precision> = OnceLock::new();
     *PRECISION.get_or_init(|| {
@@ -66,22 +61,6 @@ pub fn experiment_precision() -> Precision {
             .ok()
             .and_then(|v| Precision::parse(&v))
             .unwrap_or(Precision::F64)
-    })
-}
-
-/// The resident snapshot storage format used by the experiment harness:
-/// `RM_SNAPSHOT_DTYPE` (`native`/`bf16`, case-insensitive) if set and valid,
-/// else the `native` default. This is how CI runs the whole grid from
-/// half-size bf16 snapshots without a second binary. Resolved once per
-/// process and cached, like [`experiment_seed`].
-pub fn experiment_snapshot_dtype() -> SnapshotDtype {
-    static DTYPE: OnceLock<SnapshotDtype> = OnceLock::new();
-    *DTYPE.get_or_init(|| {
-        // rm-lint: allow(no-raw-env-read): this IS the once-per-process cached accessor for RM_SNAPSHOT_DTYPE
-        std::env::var("RM_SNAPSHOT_DTYPE")
-            .ok()
-            .and_then(|v| SnapshotDtype::parse(&v))
-            .unwrap_or(SnapshotDtype::Native)
     })
 }
 
@@ -221,7 +200,6 @@ pub fn run_cell_with_threads(
         seed,
         threads,
         precision: experiment_precision(),
-        snapshot_dtype: experiment_snapshot_dtype(),
         ..PipelineConfig::default()
     };
     let pipeline = radiomap_core::ImputationPipeline::new(config);

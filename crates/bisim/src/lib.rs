@@ -16,8 +16,7 @@
 pub mod model;
 
 pub use model::{
-    AttentionMode, BisimDirection, BisimDirectionWeights, BisimDirectionWeightsBf16,
-    BisimMatrixPass, BisimPass, TimeLagMode,
+    AttentionMode, BisimDirection, BisimDirectionWeights, BisimMatrixPass, BisimPass, TimeLagMode,
 };
 
 use rand::rngs::StdRng;
@@ -27,7 +26,7 @@ use rm_imputers::brits::{default_batch_size, default_epochs};
 use rm_imputers::{build_sequences, ImputedRadioMap, Imputer, Normalization, PathSequence};
 use rm_nn::{loss, Adam};
 use rm_radiomap::{EntryKind, MaskMatrix, RadioMap, MNAR_FILL_VALUE};
-use rm_tensor::{Matrix, NamedTensor, Precision, Scalar, SnapshotDtype, Var, Workspace};
+use rm_tensor::{Matrix, NamedTensor, Precision, Scalar, Var, Workspace};
 
 /// Configuration of the BiSIM imputer.
 #[derive(Debug, Clone)]
@@ -56,17 +55,15 @@ pub struct BisimConfig {
     /// contract). The default of 1 reproduces the classic per-sequence-pair
     /// trajectory bitwise.
     pub batch_size: usize,
-    /// Precision of the inference pass. Training always runs at `f64`;
-    /// [`Precision::F32`] rounds the trained snapshots to f32 once and runs
-    /// every sequence pair through the f32 kernels. [`Precision::F64`] —
-    /// the default — is bit-identical to the pre-precision-axis pipeline
-    /// (the snapshot pass mirrors the graph pass operation for operation).
-    /// Either setting is bit-identical across thread counts.
+    /// Precision of the inference pass and of the exported weights.
+    /// Training always runs at `f64`; [`Precision::F32`] rounds the trained
+    /// snapshots to f32 once and runs every sequence pair through the f32
+    /// kernels; [`Precision::Bf16`] runs the same f32 kernels on the
+    /// snapshots read back from their bf16 export. [`Precision::F64`] — the
+    /// default — is bit-identical to the pre-precision-axis pipeline (the
+    /// snapshot pass mirrors the graph pass operation for operation). Every
+    /// setting is bit-identical across thread counts.
     pub precision: Precision,
-    /// Resident storage format of the trained snapshots during inference
-    /// (see [`rm_imputers::BritsConfig::snapshot_dtype`] for the contract;
-    /// only meaningful with [`Precision::F32`]).
-    pub snapshot_dtype: SnapshotDtype,
 }
 
 impl Default for BisimConfig {
@@ -82,7 +79,6 @@ impl Default for BisimConfig {
             threads: 0,
             batch_size: default_batch_size(),
             precision: Precision::F64,
-            snapshot_dtype: SnapshotDtype::Native,
         }
     }
 }
@@ -218,78 +214,30 @@ fn infer_pairs<T: Scalar>(
         // Per-task scratch: the matrix buffers come from the worker's
         // thread-local pool, so steady-state inference allocates nothing.
         let mut ws = Workspace::new();
-        updates_for_pair(
-            forward, backward, seq, rev, mask, norm, num_aps, missing_rp, &mut ws,
-        )
-    })
-}
-
-/// One `(sequence, reversed)` pair of the inference fan-out. Shared by the
-/// native-dtype fan-out ([`infer_pairs`]) and the bf16 fan-out
-/// ([`infer_pairs_bf16`]).
-#[allow(clippy::too_many_arguments)]
-fn updates_for_pair<T: Scalar>(
-    forward: &BisimDirectionWeights<T>,
-    backward: &BisimDirectionWeights<T>,
-    seq: &PathSequence,
-    rev: &PathSequence,
-    mask: &MaskMatrix,
-    norm: &Normalization,
-    num_aps: usize,
-    missing_rp: &[bool],
-    ws: &mut Workspace<T>,
-) -> PairUpdates {
-    let fwd = forward.run(seq, ws);
-    let bwd = backward.run(rev, ws);
-    let two = T::from_f64(2.0);
-    let mut rssi_updates: Vec<(usize, usize, f64)> = Vec::new();
-    let mut rp_updates: Vec<(usize, Point)> = Vec::new();
-    for (t, &record) in seq.record_indices.iter().enumerate() {
-        let rt = seq.len() - 1 - t;
-        let f = &fwd.fingerprint_complements[t];
-        let b = &bwd.fingerprint_complements[rt];
-        for ap in 0..num_aps {
-            if mask.get(record, ap) == EntryKind::Mar {
-                let avg = (f.get(ap, 0) + b.get(ap, 0)) / two;
-                rssi_updates.push((record, ap, norm.denormalize_rssi(avg.to_f64())));
+        let fwd = forward.run(seq, &mut ws);
+        let bwd = backward.run(rev, &mut ws);
+        let two = T::from_f64(2.0);
+        let mut rssi_updates: Vec<(usize, usize, f64)> = Vec::new();
+        let mut rp_updates: Vec<(usize, Point)> = Vec::new();
+        for (t, &record) in seq.record_indices.iter().enumerate() {
+            let rt = seq.len() - 1 - t;
+            let f = &fwd.fingerprint_complements[t];
+            let b = &bwd.fingerprint_complements[rt];
+            for ap in 0..num_aps {
+                if mask.get(record, ap) == EntryKind::Mar {
+                    let avg = (f.get(ap, 0) + b.get(ap, 0)) / two;
+                    rssi_updates.push((record, ap, norm.denormalize_rssi(avg.to_f64())));
+                }
+            }
+            if missing_rp[record] {
+                let lf = &fwd.rp_complements[t];
+                let lb = &bwd.rp_complements[rt];
+                let x = ((lf.get(0, 0) + lb.get(0, 0)) / two).to_f64();
+                let y = ((lf.get(1, 0) + lb.get(1, 0)) / two).to_f64();
+                rp_updates.push((record, norm.denormalize_point(x, y)));
             }
         }
-        if missing_rp[record] {
-            let lf = &fwd.rp_complements[t];
-            let lb = &bwd.rp_complements[rt];
-            let x = ((lf.get(0, 0) + lb.get(0, 0)) / two).to_f64();
-            let y = ((lf.get(1, 0) + lb.get(1, 0)) / two).to_f64();
-            rp_updates.push((record, norm.denormalize_point(x, y)));
-        }
-    }
-    (rssi_updates, rp_updates)
-}
-
-/// The bf16-resident variant of [`infer_pairs`]: each task decodes the shared
-/// bfloat16 snapshots into its own pooled f32 scratch, runs the same f32
-/// inference, and recycles the decoded matrices. Decoding is pure and
-/// per-task, so the fan-out stays bit-identical at any thread count.
-#[allow(clippy::too_many_arguments)]
-fn infer_pairs_bf16(
-    forward: &BisimDirectionWeightsBf16,
-    backward: &BisimDirectionWeightsBf16,
-    pairs: &[(&PathSequence, &PathSequence)],
-    mask: &MaskMatrix,
-    norm: &Normalization,
-    num_aps: usize,
-    missing_rp: &[bool],
-    threads: usize,
-) -> Vec<PairUpdates> {
-    rm_runtime::par_map(threads, pairs, |_, &(seq, rev)| {
-        let mut ws = Workspace::new();
-        let fwd = forward.decode_ws(&mut ws);
-        let bwd = backward.decode_ws(&mut ws);
-        let updates = updates_for_pair(
-            &fwd, &bwd, seq, rev, mask, norm, num_aps, missing_rp, &mut ws,
-        );
-        fwd.recycle(&mut ws);
-        bwd.recycle(&mut ws);
-        updates
+        (rssi_updates, rp_updates)
     })
 }
 
@@ -371,10 +319,9 @@ impl Bisim {
 
     /// The imputation tail (Eq. 13): average the two directions at MARs and
     /// missing RPs, optionally exporting the trained snapshot as named
-    /// tensors first. The weights are rounded once to f32 (and optionally
-    /// truncated to bf16) when the config asks — the export happens at that
-    /// same resident dtype — and every `(sequence, reversed)` pair fans out
-    /// over the pool. The f64 snapshot pass mirrors the graph pass operation
+    /// tensors first. The weights are rounded once to f32 or to bf16 when
+    /// the config asks — the export happens at that same dtype — and every
+    /// `(sequence, reversed)` pair fans out over the pool. The f64 snapshot pass mirrors the graph pass operation
     /// for operation, so this is bit-identical to the old serial live-graph
     /// inference (pinned by the serial-trajectory test below). Each task
     /// writes values for its own records; RP updates are merged in pair
@@ -399,20 +346,15 @@ impl Bisim {
                 ("bisim.forward", forward_weights),
                 ("bisim.backward", backward_weights),
             ] {
-                weights.export(
-                    prefix,
-                    self.config.precision,
-                    self.config.snapshot_dtype,
-                    &mut tensors,
-                );
+                weights.export(prefix, self.config.precision, &mut tensors);
             }
         }
         let pairs: Vec<(&PathSequence, &PathSequence)> =
             sequences.iter().zip(reversed.iter()).collect();
         let missing_rp: Vec<bool> = locations.iter().map(Option::is_none).collect();
         let threads = self.config.threads;
-        let results = match (self.config.precision, self.config.snapshot_dtype) {
-            (Precision::F64, _) => infer_pairs(
+        let results = match self.config.precision {
+            Precision::F64 => infer_pairs(
                 forward_weights,
                 backward_weights,
                 &pairs,
@@ -422,7 +364,7 @@ impl Bisim {
                 &missing_rp,
                 threads,
             ),
-            (Precision::F32, SnapshotDtype::Native) => infer_pairs(
+            Precision::F32 => infer_pairs(
                 &forward_weights.cast::<f32>(),
                 &backward_weights.cast::<f32>(),
                 &pairs,
@@ -432,9 +374,9 @@ impl Bisim {
                 &missing_rp,
                 threads,
             ),
-            (Precision::F32, SnapshotDtype::Bf16) => infer_pairs_bf16(
-                &BisimDirectionWeightsBf16::from_weights(&forward_weights.cast::<f32>()),
-                &BisimDirectionWeightsBf16::from_weights(&backward_weights.cast::<f32>()),
+            Precision::Bf16 => infer_pairs(
+                &forward_weights.bf16_rounded(),
+                &backward_weights.bf16_rounded(),
                 &pairs,
                 mask,
                 norm,
@@ -796,45 +738,41 @@ mod tests {
         }
     }
 
-    /// The reduced-precision inference paths (f32 snapshots, and bf16-resident
-    /// snapshots decoded to f32) track the f64 result within a small epsilon,
+    /// The reduced-precision inference paths (f32 snapshots, and bf16-rounded
+    /// snapshots run at f32) track the f64 result within a small epsilon,
     /// and each stays bit-identical across thread counts.
     #[test]
     fn reduced_precision_inference_tracks_f64() {
         let (map, mask) = smooth_map();
-        let run = |precision, snapshot_dtype, threads| {
+        let run = |precision, threads| {
             Bisim::new(BisimConfig {
                 epochs: 6,
                 precision,
-                snapshot_dtype,
                 threads,
                 ..quick_config()
             })
             .impute(&map, &mask)
         };
-        let base = run(Precision::F64, SnapshotDtype::Native, 1);
-        for (precision, dtype, tol) in [
-            (Precision::F32, SnapshotDtype::Native, 0.5),
-            (Precision::F32, SnapshotDtype::Bf16, 2.0),
-        ] {
-            let out = run(precision, dtype, 1);
+        let base = run(Precision::F64, 1);
+        for (precision, tol) in [(Precision::F32, 0.5), (Precision::Bf16, 2.0)] {
+            let out = run(precision, 1);
             let delta = (out.rssi(6, 0) - base.rssi(6, 0)).abs();
             assert!(
                 delta < tol,
-                "{precision:?}/{dtype} imputed RSSI drifted {delta} dBm from f64"
+                "{precision} imputed RSSI drifted {delta} dBm from f64"
             );
             let pa = base.locations[4].expect("f64 RP must be imputed");
             let pb = out.locations[4].expect("reduced-precision RP must be imputed");
             assert!(
                 pa.distance(pb) < tol,
-                "{precision:?}/{dtype} imputed RP drifted {} m from f64",
+                "{precision} imputed RP drifted {} m from f64",
                 pa.distance(pb)
             );
-            let repeat = run(precision, dtype, 3);
+            let repeat = run(precision, 3);
             assert_eq!(
                 out.rssi(6, 0).to_bits(),
                 repeat.rssi(6, 0).to_bits(),
-                "{precision:?}/{dtype} inference differs across thread counts"
+                "{precision} inference differs across thread counts"
             );
             let pr = repeat.locations[4].expect("repeat RP must be imputed");
             assert_eq!(pb.x.to_bits(), pr.x.to_bits());
@@ -844,19 +782,14 @@ mod tests {
 
     /// `impute_warm` with `fine_tune_epochs = 0` on the unchanged map is a
     /// pure inference replay of the exporting run — bit-identical outputs
-    /// and a bit-identical re-exported snapshot — at every storage dtype.
+    /// and a bit-identical re-exported snapshot — at every precision.
     #[test]
     fn warm_replay_reproduces_the_exporting_run_bitwise() {
         let (map, mask) = smooth_map();
-        for (precision, snapshot_dtype) in [
-            (Precision::F64, SnapshotDtype::Native),
-            (Precision::F32, SnapshotDtype::Native),
-            (Precision::F32, SnapshotDtype::Bf16),
-        ] {
+        for precision in [Precision::F64, Precision::F32, Precision::Bf16] {
             let imputer = Bisim::new(BisimConfig {
                 epochs: 4,
                 precision,
-                snapshot_dtype,
                 ..quick_config()
             });
             let (cold, tensors) = imputer.impute_with_snapshot(&map, &mask);
@@ -879,7 +812,7 @@ mod tests {
                 assert_eq!(
                     a.to_bits(),
                     b.to_bits(),
-                    "warm replay diverged at {precision:?}/{snapshot_dtype}"
+                    "warm replay diverged at {precision}"
                 );
             }
             for (la, lb) in cold.locations.iter().zip(warm.locations.iter()) {

@@ -5,10 +5,10 @@
 use rand::rngs::StdRng;
 use rm_imputers::PathSequence;
 use rm_nn::{
-    Activation, Linear, LinearWeights, LinearWeightsBf16, LstmCell, LstmCellWeights,
-    LstmCellWeightsBf16, LstmState, LstmStateMatrix, Mlp, MlpWeights, MlpWeightsBf16,
+    Activation, Linear, LinearWeights, LstmCell, LstmCellWeights, LstmState, LstmStateMatrix, Mlp,
+    MlpWeights,
 };
-use rm_tensor::{Matrix, NamedTensor, Precision, Scalar, SnapshotDtype, Var, Workspace};
+use rm_tensor::{Matrix, NamedTensor, Precision, Scalar, Var, Workspace};
 
 /// Which attention mechanism the decoder uses (the Fig. 17 ablation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -343,73 +343,59 @@ pub struct BisimMatrixPass<T: Scalar = f64> {
 
 impl BisimDirectionWeights {
     /// Exports this direction's weights as `{prefix}.*` named tensors at the
-    /// dtype the inference path keeps resident (the shared
+    /// precision's dtype (the shared
     /// [`rm_imputers::snapshot::export_linear`] contract: exported bits
     /// equal serving bits in every mode). Names mirror the unit structure:
     /// `encoder.{estimate, decay, cell.*}`, `decoder.{estimate, decay,
     /// cell.*}`, `attention.{transform, align.N}`.
-    pub fn export(
-        &self,
-        prefix: &str,
-        precision: Precision,
-        snapshot_dtype: SnapshotDtype,
-        tensors: &mut Vec<NamedTensor>,
-    ) {
+    pub fn export(&self, prefix: &str, precision: Precision, tensors: &mut Vec<NamedTensor>) {
         use rm_imputers::snapshot::{export_linear, export_lstm_cell, export_mlp};
         export_linear(
             &format!("{prefix}.encoder.estimate"),
             &self.encoder_estimate,
             precision,
-            snapshot_dtype,
             tensors,
         );
         export_linear(
             &format!("{prefix}.encoder.decay"),
             &self.encoder_decay,
             precision,
-            snapshot_dtype,
             tensors,
         );
         export_lstm_cell(
             &format!("{prefix}.encoder"),
             &self.encoder_cell,
             precision,
-            snapshot_dtype,
             tensors,
         );
         export_linear(
             &format!("{prefix}.decoder.estimate"),
             &self.decoder_estimate,
             precision,
-            snapshot_dtype,
             tensors,
         );
         export_linear(
             &format!("{prefix}.decoder.decay"),
             &self.decoder_decay,
             precision,
-            snapshot_dtype,
             tensors,
         );
         export_lstm_cell(
             &format!("{prefix}.decoder"),
             &self.decoder_cell,
             precision,
-            snapshot_dtype,
             tensors,
         );
         export_linear(
             &format!("{prefix}.attention.transform"),
             &self.attention_transform,
             precision,
-            snapshot_dtype,
             tensors,
         );
         export_mlp(
             &format!("{prefix}.attention.align"),
             &self.attention_align,
             precision,
-            snapshot_dtype,
             tensors,
         );
     }
@@ -478,6 +464,24 @@ impl BisimDirectionWeights {
         })
     }
 
+    /// The weights [`Precision::Bf16`] inference runs on: this direction read
+    /// back from its own bf16 export, held at f32 (which represents every
+    /// bf16 value exactly). Inference therefore runs on exactly the bits an
+    /// artifact stores.
+    pub(crate) fn bf16_rounded(&self) -> BisimDirectionWeights<f32> {
+        let mut tensors = Vec::with_capacity(30);
+        self.export("bf16", Precision::Bf16, &mut tensors);
+        Self::import(
+            "bf16",
+            &tensors,
+            self.num_aps,
+            self.attention,
+            self.time_lag,
+        )
+        .expect("a bf16 export re-imports at its own shape")
+        .cast()
+    }
+
     /// Rebuilds a trainable [`BisimDirection`] from this snapshot (fresh
     /// parameter leaves holding copies of the snapshotted matrices; the
     /// inverse of [`BisimDirection::snapshot`]).
@@ -517,32 +521,6 @@ impl<T: Scalar> BisimDirectionWeights<T> {
             attention: self.attention,
             time_lag: self.time_lag,
         }
-    }
-
-    /// Bytes the snapshot keeps resident at precision `T`.
-    pub fn resident_bytes(&self) -> usize {
-        self.encoder_estimate.resident_bytes()
-            + self.encoder_decay.resident_bytes()
-            + self.encoder_cell.resident_bytes()
-            + self.decoder_estimate.resident_bytes()
-            + self.decoder_decay.resident_bytes()
-            + self.decoder_cell.resident_bytes()
-            + self.attention_transform.resident_bytes()
-            + self.attention_align.resident_bytes()
-    }
-
-    /// Returns the snapshot's matrices to `ws` for capacity reuse — the
-    /// give-back half of a per-task [`BisimDirectionWeightsBf16::decode_ws`]
-    /// cycle.
-    pub fn recycle(self, ws: &mut Workspace<T>) {
-        self.encoder_estimate.recycle(ws);
-        self.encoder_decay.recycle(ws);
-        self.encoder_cell.recycle(ws);
-        self.decoder_estimate.recycle(ws);
-        self.decoder_decay.recycle(ws);
-        self.decoder_cell.recycle(ws);
-        self.attention_transform.recycle(ws);
-        self.attention_align.recycle(ws);
     }
 
     /// Runs the encoder–decoder over one prepared sequence on plain matrices
@@ -712,76 +690,6 @@ impl<T: Scalar> BisimDirectionWeights<T> {
             context = &context + &h.scale(weights.get(i, 0));
         }
         context
-    }
-}
-
-/// A [`BisimDirectionWeights<f32>`] snapshot stored as truncated bfloat16:
-/// the `RM_SNAPSHOT_DTYPE=bf16` resident form — half the bytes of the f32
-/// snapshot — decoded into pooled f32 scratch once per inference task.
-#[derive(Clone)]
-pub struct BisimDirectionWeightsBf16 {
-    encoder_estimate: LinearWeightsBf16,
-    encoder_decay: LinearWeightsBf16,
-    encoder_cell: LstmCellWeightsBf16,
-    decoder_estimate: LinearWeightsBf16,
-    decoder_decay: LinearWeightsBf16,
-    decoder_cell: LstmCellWeightsBf16,
-    attention_transform: LinearWeightsBf16,
-    attention_align: MlpWeightsBf16,
-    hidden_size: usize,
-    num_aps: usize,
-    attention: AttentionMode,
-    time_lag: TimeLagMode,
-}
-
-impl BisimDirectionWeightsBf16 {
-    /// Encodes an f32 snapshot by truncating every weight to bfloat16.
-    pub fn from_weights(w: &BisimDirectionWeights<f32>) -> Self {
-        Self {
-            encoder_estimate: LinearWeightsBf16::from_weights(&w.encoder_estimate),
-            encoder_decay: LinearWeightsBf16::from_weights(&w.encoder_decay),
-            encoder_cell: LstmCellWeightsBf16::from_weights(&w.encoder_cell),
-            decoder_estimate: LinearWeightsBf16::from_weights(&w.decoder_estimate),
-            decoder_decay: LinearWeightsBf16::from_weights(&w.decoder_decay),
-            decoder_cell: LstmCellWeightsBf16::from_weights(&w.decoder_cell),
-            attention_transform: LinearWeightsBf16::from_weights(&w.attention_transform),
-            attention_align: MlpWeightsBf16::from_weights(&w.attention_align),
-            hidden_size: w.hidden_size,
-            num_aps: w.num_aps,
-            attention: w.attention,
-            time_lag: w.time_lag,
-        }
-    }
-
-    /// Decodes into an f32 snapshot whose matrices are checked out of `ws`;
-    /// pair with [`BisimDirectionWeights::recycle`] to return them.
-    pub fn decode_ws(&self, ws: &mut Workspace<f32>) -> BisimDirectionWeights<f32> {
-        BisimDirectionWeights {
-            encoder_estimate: self.encoder_estimate.decode_ws(ws),
-            encoder_decay: self.encoder_decay.decode_ws(ws),
-            encoder_cell: self.encoder_cell.decode_ws(ws),
-            decoder_estimate: self.decoder_estimate.decode_ws(ws),
-            decoder_decay: self.decoder_decay.decode_ws(ws),
-            decoder_cell: self.decoder_cell.decode_ws(ws),
-            attention_transform: self.attention_transform.decode_ws(ws),
-            attention_align: self.attention_align.decode_ws(ws),
-            hidden_size: self.hidden_size,
-            num_aps: self.num_aps,
-            attention: self.attention,
-            time_lag: self.time_lag,
-        }
-    }
-
-    /// Bytes the snapshot keeps resident (2 per weight).
-    pub fn resident_bytes(&self) -> usize {
-        self.encoder_estimate.resident_bytes()
-            + self.encoder_decay.resident_bytes()
-            + self.encoder_cell.resident_bytes()
-            + self.decoder_estimate.resident_bytes()
-            + self.decoder_decay.resident_bytes()
-            + self.decoder_cell.resident_bytes()
-            + self.attention_transform.resident_bytes()
-            + self.attention_align.resident_bytes()
     }
 }
 
@@ -961,40 +869,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// bf16 snapshots are half the resident bytes of f32 and their decoded
-    /// pass stays epsilon-close to the native f32 pass.
-    #[test]
-    fn bf16_snapshot_halves_bytes_and_tracks_the_f32_pass() {
-        let seq = sequence();
-        let model = direction(AttentionMode::SparsityFriendly, TimeLagMode::Encoder);
-        let w64 = model.snapshot();
-        let w32 = w64.cast::<f32>();
-        let packed = BisimDirectionWeightsBf16::from_weights(&w32);
-        assert_eq!(packed.resident_bytes() * 2, w32.resident_bytes());
-        assert_eq!(packed.resident_bytes() * 4, w64.resident_bytes());
-
-        let mut ws = Workspace::new();
-        let exact = w32.run(&seq, &mut ws);
-        let decoded = packed.decode_ws(&mut ws);
-        let approx = decoded.run(&seq, &mut ws);
-        for (a, b) in exact
-            .fingerprint_complements
-            .iter()
-            .chain(exact.rp_complements.iter())
-            .zip(
-                approx
-                    .fingerprint_complements
-                    .iter()
-                    .chain(approx.rp_complements.iter()),
-            )
-        {
-            // Complements mix raw observations (identical in both) with
-            // squashed estimates, so a loose absolute bound pins the path.
-            assert!(a.approx_eq(b, 0.2), "bf16 BiSIM pass drifted");
-        }
-        decoded.recycle(&mut ws);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use pipeline::{
     EvaluationResult, ImputationPipeline, ImputerKind, PipelineConfig, ShardedVenueSnapshot,
     VenueSnapshot,
 };
-pub use rm_tensor::{Precision, SnapshotDtype};
+pub use rm_tensor::Precision;
 
 // Re-export the component crates under stable names so downstream users can
 // depend on `radiomap-core` alone.
@@ -76,7 +76,7 @@ pub mod prelude {
         remove_random_rps, remove_random_rssis, DenseRadioMap, EntryKind, Fingerprint, MaskMatrix,
         RadioMap, RadioMapRecord, RadioMapStats, VenueShards, WalkingSurveyTable,
     };
-    pub use rm_tensor::{Precision, SnapshotDtype};
+    pub use rm_tensor::Precision;
     pub use rm_venue_sim::{Dataset, DatasetSpec, PropagationModel, VenuePreset};
 }
 

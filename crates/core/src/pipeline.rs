@@ -29,7 +29,7 @@ use rm_imputers::{
 };
 use rm_positioning::{evaluate_estimator_threads, EstimatorKind, TestQuery};
 use rm_radiomap::{DenseRadioMap, MaskMatrix, RadioMap, RemovedRp, RemovedRssi, VenueShards};
-use rm_tensor::{NamedTensor, Precision, SnapshotDtype};
+use rm_tensor::{NamedTensor, Precision};
 
 /// Default shard count for the sharded pipeline mode: the `RM_SHARDS`
 /// environment variable if set to a positive integer, else `1` (unsharded).
@@ -144,8 +144,7 @@ impl ImputerKind {
         }
     }
 
-    /// Builds the imputer from a [`BuildOptions`] bundle — the successor of
-    /// the eight-positional-parameter [`ImputerKind::build`].
+    /// Builds the imputer from a [`BuildOptions`] bundle.
     ///
     /// The BiSIM ablation settings are ignored by the other imputers.
     /// `epochs` overrides the training epoch count of the neural imputers;
@@ -159,12 +158,10 @@ impl ImputerKind {
     /// change which model a fixed seed yields (fewer, summed-gradient
     /// steps), but any fixed value stays bit-identical across thread counts.
     /// `precision` selects the inference precision of the neural imputers:
-    /// training always runs at `f64`, and [`Precision::F32`] rounds the
-    /// trained weights once and runs inference through the f32 SIMD kernels.
-    /// `snapshot_dtype` selects the resident storage format of those
-    /// inference snapshots ([`SnapshotDtype::Bf16`] halves the bytes; only
-    /// meaningful with [`Precision::F32`]). The deterministic (non-neural)
-    /// imputers ignore both.
+    /// training always runs at `f64`, [`Precision::F32`] rounds the trained
+    /// weights once and runs inference through the f32 SIMD kernels, and
+    /// [`Precision::Bf16`] rounds them to bf16 instead (same f32 kernels,
+    /// 2-byte export). The deterministic (non-neural) imputers ignore it.
     pub fn build_with(self, options: &BuildOptions) -> Box<dyn Imputer> {
         let &BuildOptions {
             seed,
@@ -174,7 +171,6 @@ impl ImputerKind {
             threads,
             batch_size,
             precision,
-            snapshot_dtype,
         } = options;
         match self {
             ImputerKind::Bisim => {
@@ -184,7 +180,6 @@ impl ImputerKind {
                     time_lag,
                     threads,
                     precision,
-                    snapshot_dtype,
                     ..BisimConfig::default()
                 };
                 if let Some(epochs) = epochs {
@@ -213,7 +208,6 @@ impl ImputerKind {
                     seed,
                     threads,
                     precision,
-                    snapshot_dtype,
                     ..BritsConfig::default()
                 };
                 if let Some(epochs) = epochs {
@@ -229,7 +223,6 @@ impl ImputerKind {
                     seed,
                     threads,
                     precision,
-                    snapshot_dtype,
                     ..SsganConfig::default()
                 };
                 if let Some(epochs) = epochs {
@@ -241,36 +234,6 @@ impl ImputerKind {
                 Box::new(Ssgan::new(config))
             }
         }
-    }
-
-    /// Positional-parameter shim over [`ImputerKind::build_with`], kept one
-    /// release for out-of-tree callers.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `build_with(&BuildOptions { .. })` — the positional list grew a parameter per release"
-    )]
-    #[allow(clippy::too_many_arguments)]
-    pub fn build(
-        self,
-        seed: u64,
-        attention: AttentionMode,
-        time_lag: TimeLagMode,
-        epochs: Option<usize>,
-        threads: usize,
-        batch_size: Option<usize>,
-        precision: Precision,
-        snapshot_dtype: SnapshotDtype,
-    ) -> Box<dyn Imputer> {
-        self.build_with(&BuildOptions {
-            seed,
-            attention,
-            time_lag,
-            epochs,
-            threads,
-            batch_size,
-            precision,
-            snapshot_dtype,
-        })
     }
 }
 
@@ -293,8 +256,6 @@ pub struct BuildOptions {
     pub batch_size: Option<usize>,
     /// Inference precision of the neural imputers.
     pub precision: Precision,
-    /// Resident storage dtype of trained inference snapshots.
-    pub snapshot_dtype: SnapshotDtype,
 }
 
 impl Default for BuildOptions {
@@ -307,7 +268,6 @@ impl Default for BuildOptions {
             threads: 0,
             batch_size: None,
             precision: Precision::F64,
-            snapshot_dtype: SnapshotDtype::Native,
         }
     }
 }
@@ -353,20 +313,15 @@ pub struct PipelineConfig {
     /// fixed seed yields (fewer, summed-gradient optimizer steps).
     pub batch_size: Option<usize>,
     /// Numeric precision of the neural imputers' inference pass (BiSIM,
-    /// BRITS, SSGAN). The default [`Precision::F64`] keeps the pipeline
-    /// bit-identical to the pre-precision-axis output; [`Precision::F32`]
-    /// rounds the trained weights once and runs inference through the f32
-    /// SIMD kernels — faster, and still bit-identical across thread counts,
-    /// just rounded differently from f64. Unlike `threads`, this knob *does*
-    /// change output values.
+    /// BRITS, SSGAN) and of their exported weights. The default
+    /// [`Precision::F64`] keeps the pipeline bit-identical to the
+    /// pre-precision-axis output; [`Precision::F32`] rounds the trained
+    /// weights once and runs inference through the f32 SIMD kernels — faster,
+    /// and still bit-identical across thread counts, just rounded differently
+    /// from f64; [`Precision::Bf16`] rounds them to bfloat16 instead (the
+    /// same f32 kernels, epsilon-bounded against f32, exported at 2 bytes
+    /// per weight). Unlike `threads`, this knob *does* change output values.
     pub precision: Precision,
-    /// Resident storage format of the neural imputers' trained inference
-    /// snapshots. The default [`SnapshotDtype::Native`] stores them at the
-    /// inference precision; [`SnapshotDtype::Bf16`] truncates f32 snapshots
-    /// to bfloat16 (half the resident bytes) and decodes per inference task —
-    /// epsilon-bounded against the f32 path and still bit-identical across
-    /// thread counts. Only meaningful with [`Precision::F32`].
-    pub snapshot_dtype: SnapshotDtype,
     /// Spatial shard count for the sharded pipeline mode ([`VenueShards`]).
     /// `None` means auto: the `RM_SHARDS` environment variable if set, else
     /// `1` (unsharded). With an effective count above 1,
@@ -399,7 +354,6 @@ impl Default for PipelineConfig {
             threads: 0,
             batch_size: None,
             precision: Precision::F64,
-            snapshot_dtype: SnapshotDtype::Native,
             shards: None,
             seed: 2023,
         }
@@ -410,9 +364,9 @@ impl Default for PipelineConfig {
 /// shard of a venue, produced per shard by
 /// [`ImputationPipeline::export_sharded_snapshot`]: the imputed dense radio
 /// map, the differentiator's mask, the estimator configuration,
-/// and the trained imputer snapshot as named tensors at the dtype the
-/// inference path keeps resident ([`SnapshotDtype::Bf16`] exports are ¼ the
-/// payload bytes of f64 exports of the same weights). This is the in-memory
+/// and the trained imputer snapshot as named tensors at the dtype of the
+/// configured precision ([`Precision::Bf16`] exports are ¼ the payload bytes
+/// of f64 exports of the same weights). This is the in-memory
 /// form of the `rm-serve` artifact; the on-disk codec lives in that crate so
 /// the pipeline stays serialization-free.
 #[derive(Debug, Clone)]
@@ -437,8 +391,6 @@ pub struct VenueSnapshot {
     pub seed: u64,
     /// Inference precision the tensors were exported at.
     pub precision: Precision,
-    /// Resident storage dtype the tensors were exported at.
-    pub snapshot_dtype: SnapshotDtype,
     /// The trained imputer snapshot, one named tensor per parameter (empty
     /// for imputers without a trained model).
     pub tensors: Vec<NamedTensor>,
@@ -508,7 +460,6 @@ impl ImputationPipeline {
             threads: self.config.threads,
             batch_size: self.config.batch_size,
             precision: self.config.precision,
-            snapshot_dtype: self.config.snapshot_dtype,
         }
     }
 
@@ -639,7 +590,6 @@ impl ImputationPipeline {
             knn_k: self.config.knn_k,
             seed,
             precision: self.config.precision,
-            snapshot_dtype: self.config.snapshot_dtype,
             tensors,
         }
     }
@@ -656,7 +606,7 @@ impl ImputationPipeline {
     /// record with a location enters its shard's radio map. The trained
     /// imputer weights ride along as named tensors (via
     /// [`Imputer::impute_with_snapshot`](rm_imputers::Imputer::impute_with_snapshot)),
-    /// exported at exactly the bits the inference path keeps resident, so
+    /// exported at exactly the bits the inference path runs on, so
     /// persisting and reloading the snapshot reproduces the serving model
     /// bit for bit. With an effective shard count of 1 the single shard is
     /// the whole venue at the venue seed: its map and mask are bitwise the

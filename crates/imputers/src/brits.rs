@@ -8,11 +8,11 @@ use std::sync::OnceLock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rm_nn::{
-    loss, Adam, GradientBatch, Linear, LinearWeights, LinearWeightsBf16, LstmCell, LstmCellWeights,
-    LstmCellWeightsBf16, LstmState, LstmStateMatrix, Optimizer,
+    loss, Adam, GradientBatch, Linear, LinearWeights, LstmCell, LstmCellWeights, LstmState,
+    LstmStateMatrix, Optimizer,
 };
 use rm_radiomap::{EntryKind, MaskMatrix, RadioMap, MNAR_FILL_VALUE};
-use rm_tensor::{Matrix, NamedTensor, Precision, Scalar, SnapshotDtype, Var, Workspace};
+use rm_tensor::{Matrix, NamedTensor, Precision, Scalar, Var, Workspace};
 
 use crate::sequence::{build_sequences, Normalization, PathSequence};
 use crate::{gates, snapshot, ImputedRadioMap, Imputer};
@@ -51,21 +51,16 @@ pub struct BritsConfig {
     /// often; retune `learning_rate` rather than assume an averaged step
     /// when raising this.
     pub batch_size: usize,
-    /// Precision of the inference pass. Training always runs at `f64`;
-    /// [`Precision::F32`] rounds the trained weights to f32 once and runs
-    /// every sequence through the f32 kernels (twice the SIMD lanes, half
-    /// the memory traffic). [`Precision::F64`] — the default — is
-    /// bit-identical to the pre-precision-axis pipeline. Either setting is
-    /// bit-identical across thread counts.
+    /// Precision of the inference pass and of the exported weights.
+    /// Training always runs at `f64`; [`Precision::F32`] rounds the trained
+    /// weights to f32 once and runs every sequence through the f32 kernels
+    /// (twice the SIMD lanes, half the memory traffic); [`Precision::Bf16`]
+    /// runs the same f32 kernels on the weights read back from their bf16
+    /// export (epsilon-bounded against f32, see [`rm_tensor::half`]).
+    /// [`Precision::F64`] — the default — is bit-identical to the
+    /// pre-precision-axis pipeline. Every setting is bit-identical across
+    /// thread counts.
     pub precision: Precision,
-    /// Resident storage format of the trained snapshot during inference.
-    /// [`SnapshotDtype::Bf16`] truncates the f32 snapshot to bfloat16 (half
-    /// the resident bytes) and decodes it into pooled f32 scratch per
-    /// inference task; it only takes effect with [`Precision::F32`] — the
-    /// f64 path ignores it. Accuracy is epsilon-bounded, not bit-compatible
-    /// (see [`rm_tensor::half`]); results remain bit-identical across thread
-    /// counts either way.
-    pub snapshot_dtype: SnapshotDtype,
 }
 
 impl Default for BritsConfig {
@@ -79,7 +74,6 @@ impl Default for BritsConfig {
             threads: 0,
             batch_size: default_batch_size(),
             precision: Precision::F64,
-            snapshot_dtype: SnapshotDtype::Native,
         }
     }
 }
@@ -241,6 +235,18 @@ pub(crate) struct RecurrentImputerWeights<T: Scalar = f64> {
 }
 
 impl RecurrentImputerWeights {
+    /// The weights [`Precision::Bf16`] inference runs on: this snapshot read
+    /// back from its own bf16 export, held at f32 (which represents every
+    /// bf16 value exactly). Inference therefore runs on exactly the bits an
+    /// artifact stores.
+    pub(crate) fn bf16_rounded(&self) -> RecurrentImputerWeights<f32> {
+        let mut tensors = Vec::with_capacity(12);
+        export_recurrent("bf16", self, Precision::Bf16, &mut tensors);
+        import_recurrent("bf16", &tensors, self.estimate.weight().rows())
+            .expect("a bf16 export re-imports at its own shape")
+            .cast()
+    }
+
     /// Rebuilds a trainable [`RecurrentImputer`] from this snapshot: fresh
     /// parameter leaves holding copies of the snapshotted matrices, at the
     /// training precision (`f64`). This is the worker-side half of batched
@@ -318,75 +324,24 @@ impl<T: Scalar> RecurrentImputerWeights<T> {
         ws.give(state.c);
         complements
     }
-
-    /// Bytes the snapshot keeps resident at precision `T`.
-    pub(crate) fn resident_bytes(&self) -> usize {
-        self.estimate.resident_bytes() + self.decay.resident_bytes() + self.cell.resident_bytes()
-    }
-
-    /// Returns the snapshot's matrices to `ws` for capacity reuse — the
-    /// give-back half of a per-task [`RecurrentImputerWeightsBf16::decode_ws`]
-    /// cycle.
-    pub(crate) fn recycle(self, ws: &mut Workspace<T>) {
-        self.estimate.recycle(ws);
-        self.decay.recycle(ws);
-        self.cell.recycle(ws);
-    }
 }
 
-/// A [`RecurrentImputerWeights<f32>`] snapshot stored as truncated bfloat16:
-/// the `RM_SNAPSHOT_DTYPE=bf16` resident form — half the bytes of the f32
-/// snapshot — decoded into pooled f32 scratch once per inference task.
-pub(crate) struct RecurrentImputerWeightsBf16 {
-    estimate: LinearWeightsBf16,
-    decay: LinearWeightsBf16,
-    cell: LstmCellWeightsBf16,
-    hidden_size: usize,
-}
-
-impl RecurrentImputerWeightsBf16 {
-    /// Encodes an f32 snapshot by truncating every weight to bfloat16.
-    pub(crate) fn from_weights(w: &RecurrentImputerWeights<f32>) -> Self {
-        Self {
-            estimate: LinearWeightsBf16::from_weights(&w.estimate),
-            decay: LinearWeightsBf16::from_weights(&w.decay),
-            cell: LstmCellWeightsBf16::from_weights(&w.cell),
-            hidden_size: w.hidden_size,
-        }
-    }
-
-    /// Decodes into an f32 snapshot whose matrices are checked out of `ws`;
-    /// pair with [`RecurrentImputerWeights::recycle`] to return them.
-    pub(crate) fn decode_ws(&self, ws: &mut Workspace<f32>) -> RecurrentImputerWeights<f32> {
-        RecurrentImputerWeights {
-            estimate: self.estimate.decode_ws(ws),
-            decay: self.decay.decode_ws(ws),
-            cell: self.cell.decode_ws(ws),
-            hidden_size: self.hidden_size,
-        }
-    }
-
-    /// Bytes the snapshot keeps resident (2 per weight).
-    pub(crate) fn resident_bytes(&self) -> usize {
-        self.estimate.resident_bytes() + self.decay.resident_bytes() + self.cell.resident_bytes()
-    }
-}
-
-/// Resident snapshot bytes of one recurrent-imputer direction with the
-/// given shape, at each storage dtype: `(f64, f32, bf16)`. The reporting
-/// hook behind the `exp_snapshot_storage` experiment — it measures the
-/// actual inference-path snapshot types, so the `f32 = f64 / 2` and
-/// `bf16 = f32 / 2` ratios it returns are the ratios the serving path pays.
+/// Exported tensor payload bytes of one recurrent-imputer direction with
+/// the given shape, at each precision: `(f64, f32, bf16)`. These are the
+/// bytes an artifact stores and a published shard holds — the reporting
+/// hook behind the `exp_snapshot_storage` experiment.
 pub fn snapshot_resident_bytes(num_aps: usize, hidden_size: usize) -> (usize, usize, usize) {
     let mut rng = StdRng::seed_from_u64(0);
-    let model = RecurrentImputer::new(num_aps, hidden_size, &mut rng);
-    let w64 = model.snapshot();
-    let w32 = w64.cast::<f32>();
-    let packed = RecurrentImputerWeightsBf16::from_weights(&w32);
+    let weights = RecurrentImputer::new(num_aps, hidden_size, &mut rng).snapshot();
+    let bytes = |precision| {
+        let mut tensors = Vec::new();
+        export_recurrent("brits", &weights, precision, &mut tensors);
+        tensors.iter().map(|t| t.payload.payload_bytes()).sum()
+    };
     (
-        w64.resident_bytes(),
-        w32.resident_bytes(),
-        packed.resident_bytes(),
+        bytes(Precision::F64),
+        bytes(Precision::F32),
+        bytes(Precision::Bf16),
     )
 }
 
@@ -496,82 +451,33 @@ fn infer_mar_values<T: Scalar>(
         // buffers it hands out come from the worker's thread-local pool, so
         // steady-state inference tasks allocate nothing.
         let mut ws = Workspace::new();
-        mar_values_for_pair(forward, backward, seq, rev, mask, norm, num_aps, &mut ws)
-    })
-}
-
-/// One `(sequence, reversed)` pair of the inference fan-out: runs both
-/// directions through the shared snapshots and averages the complements at
-/// MAR positions. Shared by the native-dtype fan-out ([`infer_mar_values`])
-/// and the bf16 fan-out ([`infer_mar_values_bf16`]).
-#[allow(clippy::too_many_arguments)]
-fn mar_values_for_pair<T: Scalar>(
-    forward: &RecurrentImputerWeights<T>,
-    backward: &RecurrentImputerWeights<T>,
-    seq: &PathSequence,
-    rev: &PathSequence,
-    mask: &MaskMatrix,
-    norm: &Normalization,
-    num_aps: usize,
-    ws: &mut Workspace<T>,
-) -> Vec<(usize, usize, f64)> {
-    let fwd = forward.run(seq, ws);
-    let bwd = backward.run(rev, ws);
-    let mut values: Vec<(usize, usize, f64)> = Vec::new();
-    for (t, &record) in seq.record_indices.iter().enumerate() {
-        let rt = rev.len() - 1 - t;
-        for ap in 0..num_aps {
-            if mask.get(record, ap) == EntryKind::Mar {
-                let avg = (fwd[t].get(ap, 0) + bwd[rt].get(ap, 0)) / T::from_f64(2.0);
-                values.push((record, ap, norm.denormalize_rssi(avg.to_f64())));
+        let fwd = forward.run(seq, &mut ws);
+        let bwd = backward.run(rev, &mut ws);
+        let mut values: Vec<(usize, usize, f64)> = Vec::new();
+        for (t, &record) in seq.record_indices.iter().enumerate() {
+            let rt = rev.len() - 1 - t;
+            for ap in 0..num_aps {
+                if mask.get(record, ap) == EntryKind::Mar {
+                    let avg = (fwd[t].get(ap, 0) + bwd[rt].get(ap, 0)) / T::from_f64(2.0);
+                    values.push((record, ap, norm.denormalize_rssi(avg.to_f64())));
+                }
             }
         }
-    }
-    values
-}
-
-/// The bf16-resident variant of [`infer_mar_values`]: each task decodes the
-/// shared bfloat16 snapshots into its own pooled f32 scratch, runs the same
-/// f32 inference, and recycles the decoded matrices. Decoding is pure and
-/// per-task, so the fan-out stays bit-identical at any thread count.
-fn infer_mar_values_bf16(
-    forward: &RecurrentImputerWeightsBf16,
-    backward: &RecurrentImputerWeightsBf16,
-    pairs: &[(&PathSequence, &PathSequence)],
-    mask: &MaskMatrix,
-    norm: &Normalization,
-    num_aps: usize,
-    threads: usize,
-) -> Vec<Vec<(usize, usize, f64)>> {
-    rm_runtime::par_map(threads, pairs, |_, &(seq, rev)| {
-        let mut ws = Workspace::new();
-        let fwd = forward.decode_ws(&mut ws);
-        let bwd = backward.decode_ws(&mut ws);
-        let values = mar_values_for_pair(&fwd, &bwd, seq, rev, mask, norm, num_aps, &mut ws);
-        fwd.recycle(&mut ws);
-        bwd.recycle(&mut ws);
         values
     })
 }
 
 /// Exports one direction's trained snapshot as `brits.{prefix}.*` named
-/// tensors at the dtype the inference path keeps resident (see
-/// [`crate::snapshot::export_linear`] for the dtype contract: exported bits
-/// equal the serving bits in every mode).
+/// tensors at the precision's dtype (see [`crate::snapshot::export_linear`]
+/// for the dtype contract: exported bits equal the serving bits in every
+/// mode).
 fn export_direction(
     prefix: &str,
     weights: &RecurrentImputerWeights,
     precision: Precision,
-    snapshot_dtype: SnapshotDtype,
     tensors: &mut Vec<NamedTensor>,
 ) {
-    export_recurrent(
-        &format!("brits.{prefix}"),
-        weights,
-        precision,
-        snapshot_dtype,
-        tensors,
-    );
+    export_recurrent(&format!("brits.{prefix}"), weights, precision, tensors);
 }
 
 /// Exports one direction's trained weights under `{prefix}.{layer}` names
@@ -581,24 +487,21 @@ pub(crate) fn export_recurrent(
     prefix: &str,
     weights: &RecurrentImputerWeights,
     precision: Precision,
-    snapshot_dtype: SnapshotDtype,
     tensors: &mut Vec<NamedTensor>,
 ) {
     snapshot::export_linear(
         &format!("{prefix}.estimate"),
         &weights.estimate,
         precision,
-        snapshot_dtype,
         tensors,
     );
     snapshot::export_linear(
         &format!("{prefix}.decay"),
         &weights.decay,
         precision,
-        snapshot_dtype,
         tensors,
     );
-    snapshot::export_lstm_cell(prefix, &weights.cell, precision, snapshot_dtype, tensors);
+    snapshot::export_lstm_cell(prefix, &weights.cell, precision, tensors);
 }
 
 /// Rebuilds one direction's weights from the tensors exported by
@@ -733,8 +636,8 @@ impl Brits {
 
     /// Produces imputations from a trained weight pair — average of forward
     /// and backward complements at MAR positions — plus the optional tensor
-    /// export. The weights are rounded once to f32 when the config asks for
-    /// single-precision inference, and every sequence's inference fans out
+    /// export. The weights are rounded once to f32 (or to bf16) when the
+    /// config asks for it, and every sequence's inference fans out
     /// over the pool; each task only reads the shared snapshot and writes
     /// values for its own (disjoint) records, so the merge is
     /// order-independent.
@@ -758,13 +661,7 @@ impl Brits {
             let mut tensors = Vec::with_capacity(24);
             for (prefix, weights) in [("forward", forward_weights), ("backward", backward_weights)]
             {
-                export_direction(
-                    prefix,
-                    weights,
-                    self.config.precision,
-                    self.config.snapshot_dtype,
-                    &mut tensors,
-                );
+                export_direction(prefix, weights, self.config.precision, &mut tensors);
             }
             tensors
         } else {
@@ -773,8 +670,8 @@ impl Brits {
         let pairs: Vec<(&PathSequence, &PathSequence)> =
             sequences.iter().zip(reversed.iter()).collect();
         let threads = self.config.threads;
-        let imputations = match (self.config.precision, self.config.snapshot_dtype) {
-            (Precision::F64, _) => infer_mar_values(
+        let imputations = match self.config.precision {
+            Precision::F64 => infer_mar_values(
                 forward_weights,
                 backward_weights,
                 &pairs,
@@ -783,7 +680,7 @@ impl Brits {
                 num_aps,
                 threads,
             ),
-            (Precision::F32, SnapshotDtype::Native) => infer_mar_values(
+            Precision::F32 => infer_mar_values(
                 &forward_weights.cast::<f32>(),
                 &backward_weights.cast::<f32>(),
                 &pairs,
@@ -792,9 +689,9 @@ impl Brits {
                 num_aps,
                 threads,
             ),
-            (Precision::F32, SnapshotDtype::Bf16) => infer_mar_values_bf16(
-                &RecurrentImputerWeightsBf16::from_weights(&forward_weights.cast::<f32>()),
-                &RecurrentImputerWeightsBf16::from_weights(&backward_weights.cast::<f32>()),
+            Precision::Bf16 => infer_mar_values(
+                &forward_weights.bf16_rounded(),
+                &backward_weights.bf16_rounded(),
                 &pairs,
                 mask,
                 norm,
@@ -974,7 +871,6 @@ pub(crate) mod tests {
             threads: 0,
             batch_size: 1,
             precision: Precision::F64,
-            snapshot_dtype: SnapshotDtype::Native,
         }
     }
 
@@ -1017,10 +913,10 @@ pub(crate) mod tests {
         assert_eq!(f32_out.rssi(0, 0).to_bits(), f64_out.rssi(0, 0).to_bits());
     }
 
-    /// The bf16-resident path decodes the truncated snapshot per task and
-    /// runs the same f32 kernels, so its imputation stays within the bf16
-    /// truncation epsilon of the native-f32 path (and the snapshot itself is
-    /// half the resident bytes, checked at the weight level).
+    /// The bf16 path runs the same f32 kernels on weights rounded once to
+    /// bf16, so its imputation stays within the bf16 truncation epsilon of
+    /// the f32 path (the export's 4× byte ratio is checked by
+    /// `snapshot_export_matches_resident_dtype_and_leaves_imputation_unchanged`).
     #[test]
     fn brits_bf16_snapshots_track_the_f32_path() {
         let (map, mask) = smooth_map();
@@ -1030,8 +926,7 @@ pub(crate) mod tests {
         })
         .impute(&map, &mask);
         let bf16_out = Brits::new(BritsConfig {
-            precision: Precision::F32,
-            snapshot_dtype: SnapshotDtype::Bf16,
+            precision: Precision::Bf16,
             ..quick_config()
         })
         .impute(&map, &mask);
@@ -1045,33 +940,21 @@ pub(crate) mod tests {
         );
         // Observed entries pass through identically.
         assert_eq!(bf16_out.rssi(0, 0).to_bits(), f32_out.rssi(0, 0).to_bits());
-
-        // Resident-bytes contract at the snapshot level: bf16 is exactly
-        // half the f32 snapshot, a quarter of the f64 training snapshot.
-        let mut rng = StdRng::seed_from_u64(5);
-        let model = RecurrentImputer::new(2, 16, &mut rng);
-        let w64 = model.snapshot();
-        let w32 = w64.cast::<f32>();
-        let packed = RecurrentImputerWeightsBf16::from_weights(&w32);
-        assert_eq!(packed.resident_bytes() * 2, w32.resident_bytes());
-        assert_eq!(packed.resident_bytes() * 4, w64.resident_bytes());
     }
 
-    /// The snapshot export carries exactly the bits the inference path keeps
-    /// resident, at every point of the precision × dtype axis, without
-    /// perturbing the imputation itself.
+    /// The snapshot export carries exactly the bits the inference path runs
+    /// on, at every precision, without perturbing the imputation itself.
     #[test]
     fn snapshot_export_matches_resident_dtype_and_leaves_imputation_unchanged() {
         let (map, mask) = smooth_map();
-        for (precision, snapshot_dtype, expected_dtype) in [
-            (Precision::F64, SnapshotDtype::Native, "f64"),
-            (Precision::F32, SnapshotDtype::Native, "f32"),
-            (Precision::F32, SnapshotDtype::Bf16, "bf16"),
+        for (precision, expected_dtype) in [
+            (Precision::F64, "f64"),
+            (Precision::F32, "f32"),
+            (Precision::Bf16, "bf16"),
         ] {
             let config = BritsConfig {
                 epochs: 3,
                 precision,
-                snapshot_dtype,
                 ..quick_config()
             };
             let (out, tensors) = Brits::new(config.clone()).impute_with_snapshot(&map, &mask);
@@ -1096,13 +979,12 @@ pub(crate) mod tests {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
-        // The dtype axis shrinks the artifact payload 2× per step: the f64
-        // export is 4× the bytes of the bf16 export of the same weights.
-        let export = |snapshot_dtype, precision| {
+        // The precision axis shrinks the artifact payload 2× per step: the
+        // f64 export is 4× the bytes of the bf16 export of the same weights.
+        let export = |precision| {
             Brits::new(BritsConfig {
                 epochs: 1,
                 precision,
-                snapshot_dtype,
                 ..quick_config()
             })
             .impute_with_snapshot(&map, &mask)
@@ -1111,8 +993,10 @@ pub(crate) mod tests {
             .map(|t| t.payload.payload_bytes())
             .sum::<usize>()
         };
-        let f64_bytes = export(SnapshotDtype::Native, Precision::F64);
-        let bf16_bytes = export(SnapshotDtype::Bf16, Precision::F32);
+        let f64_bytes = export(Precision::F64);
+        let f32_bytes = export(Precision::F32);
+        let bf16_bytes = export(Precision::Bf16);
+        assert_eq!(f64_bytes, f32_bytes * 2);
         assert_eq!(f64_bytes, bf16_bytes * 4);
     }
 
@@ -1127,22 +1011,16 @@ pub(crate) mod tests {
         assert_eq!(out.fingerprints, li.impute(&map, &mask).fingerprints);
     }
 
-    /// The warm-start replay contract: at every point of the precision ×
-    /// dtype axis, importing a snapshot and re-running inference with
+    /// The warm-start replay contract: at every precision, importing a snapshot and re-running inference with
     /// `fine_tune_epochs = 0` on the unchanged map reproduces the exporting
     /// run's imputation — and re-exports the same tensor bits.
     #[test]
     fn warm_replay_reproduces_the_exporting_run_bitwise() {
         let (map, mask) = smooth_map();
-        for (precision, snapshot_dtype) in [
-            (Precision::F64, SnapshotDtype::Native),
-            (Precision::F32, SnapshotDtype::Native),
-            (Precision::F32, SnapshotDtype::Bf16),
-        ] {
+        for precision in [Precision::F64, Precision::F32, Precision::Bf16] {
             let brits = Brits::new(BritsConfig {
                 epochs: 3,
                 precision,
-                snapshot_dtype,
                 ..quick_config()
             });
             let (cold, tensors) = brits.impute_with_snapshot(&map, &mask);

@@ -41,9 +41,7 @@ pub mod lstm;
 pub mod mlp;
 pub mod optim;
 
-pub use linear::{Linear, LinearWeights, LinearWeightsBf16};
-pub use lstm::{
-    LstmCell, LstmCellWeights, LstmCellWeightsBf16, LstmState, LstmStateMatrix, SimpleRecurrentCell,
-};
-pub use mlp::{Activation, Mlp, MlpWeights, MlpWeightsBf16};
+pub use linear::{Linear, LinearWeights};
+pub use lstm::{LstmCell, LstmCellWeights, LstmState, LstmStateMatrix, SimpleRecurrentCell};
+pub use mlp::{Activation, Mlp, MlpWeights};
 pub use optim::{Adam, GradientBatch, Optimizer, Sgd};

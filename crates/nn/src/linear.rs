@@ -7,7 +7,7 @@
 // snapshot-inference path — so steady state allocates nothing.
 
 use rand::Rng;
-use rm_tensor::{Bf16Matrix, Matrix, Scalar, Var, Workspace};
+use rm_tensor::{Matrix, Scalar, Var, Workspace};
 
 /// A linear layer computing `y = W x + b` for column-vector (or
 /// column-batched) inputs. `T` defaults to `f64`, the training precision.
@@ -174,19 +174,6 @@ impl<T: Scalar> LinearWeights<T> {
         out
     }
 
-    /// Bytes this snapshot keeps resident (weight + bias payloads at the
-    /// compute precision `T`).
-    pub fn resident_bytes(&self) -> usize {
-        (self.weight.data().len() + self.bias.data().len()) * std::mem::size_of::<T>()
-    }
-
-    /// Returns the snapshot's matrices to `ws` for capacity reuse — the
-    /// give-back half of a per-task [`LinearWeightsBf16::decode_ws`] cycle.
-    pub fn recycle(self, ws: &mut Workspace<T>) {
-        ws.give(self.weight);
-        ws.give(self.bias);
-    }
-
     /// The `(out_features, in_features)` weight matrix — read access for
     /// snapshot export (the serving artifact persists these exact bits).
     pub fn weight(&self) -> &Matrix<T> {
@@ -213,41 +200,6 @@ impl<T: Scalar> LinearWeights<T> {
             "bias shape does not match weight"
         );
         Self { weight, bias }
-    }
-}
-
-/// A [`LinearWeights<f32>`] snapshot stored as truncated bfloat16 — half the
-/// resident bytes, decoded back into pooled `f32` scratch per inference task
-/// (`RM_SNAPSHOT_DTYPE=bf16`). Storage-only: compute still runs the `f32`
-/// kernels, so accuracy is epsilon-bounded rather than bit-compatible (see
-/// [`rm_tensor::half`] for the contract).
-#[derive(Debug, Clone)]
-pub struct LinearWeightsBf16 {
-    weight: Bf16Matrix,
-    bias: Bf16Matrix,
-}
-
-impl LinearWeightsBf16 {
-    /// Encodes an `f32` snapshot by truncating every weight to bfloat16.
-    pub fn from_weights(w: &LinearWeights<f32>) -> Self {
-        Self {
-            weight: Bf16Matrix::from_matrix(&w.weight),
-            bias: Bf16Matrix::from_matrix(&w.bias),
-        }
-    }
-
-    /// Decodes into an `f32` snapshot whose matrices are checked out of
-    /// `ws`; pair with [`LinearWeights::recycle`] to return them.
-    pub fn decode_ws(&self, ws: &mut Workspace<f32>) -> LinearWeights<f32> {
-        LinearWeights {
-            weight: self.weight.decode_ws(ws),
-            bias: self.bias.decode_ws(ws),
-        }
-    }
-
-    /// Bytes this snapshot keeps resident (2 per weight).
-    pub fn resident_bytes(&self) -> usize {
-        self.weight.resident_bytes() + self.bias.resident_bytes()
     }
 }
 
@@ -384,29 +336,6 @@ mod tests {
         let x32: Matrix<f32> = x64.cast();
         let graph = layer32.forward(&Var::constant(x32.clone())).value();
         assert!(graph.bits_eq(&weights32.forward(&x32)));
-    }
-
-    #[test]
-    fn bf16_snapshot_halves_resident_bytes_and_forward_stays_epsilon_close() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let layer: Linear = Linear::new(6, 4, &mut rng);
-        let w32 = layer.snapshot().cast::<f32>();
-        let packed = LinearWeightsBf16::from_weights(&w32);
-        assert_eq!(packed.resident_bytes() * 2, w32.resident_bytes());
-
-        let mut ws = Workspace::new();
-        // Poison the pool: decode must fully overwrite its scratch.
-        ws.give(Matrix::filled(4, 6, f32::NAN));
-        let decoded = packed.decode_ws(&mut ws);
-        let x: Matrix<f32> = Matrix::<f64>::random_uniform(6, 2, 1.0, &mut rng).cast();
-        let exact = w32.forward(&x);
-        let approx = decoded.forward(&x);
-        // Each output accumulates 6 products of O(1) values whose weights
-        // carry ≤ 2^-7 relative truncation error.
-        assert!(exact.approx_eq(&approx, 6.0 * 4.0 / 128.0));
-        decoded.recycle(&mut ws);
-        // A second decode reuses the recycled buffers and must agree bitwise.
-        assert!(approx.bits_eq(&packed.decode_ws(&mut ws).forward(&x)));
     }
 
     #[test]

@@ -266,24 +266,6 @@ impl<T: Scalar> LstmCellWeights<T> {
         LstmStateMatrix { h, c }
     }
 
-    /// Bytes this snapshot keeps resident (the four gate layers at `T`).
-    pub fn resident_bytes(&self) -> usize {
-        self.input_gate.resident_bytes()
-            + self.forget_gate.resident_bytes()
-            + self.output_gate.resident_bytes()
-            + self.candidate.resident_bytes()
-    }
-
-    /// Returns the snapshot's matrices to `ws` for capacity reuse — the
-    /// give-back half of a per-task [`LstmCellWeightsBf16::decode_ws`]
-    /// cycle.
-    pub fn recycle(self, ws: &mut Workspace<T>) {
-        self.input_gate.recycle(ws);
-        self.forget_gate.recycle(ws);
-        self.output_gate.recycle(ws);
-        self.candidate.recycle(ws);
-    }
-
     /// The four gate snapshots in step order `(input, forget, output,
     /// candidate)` — read access for snapshot export.
     pub fn gates(&self) -> [&crate::linear::LinearWeights<T>; 4] {
@@ -327,55 +309,6 @@ impl<T: Scalar> LstmCellWeights<T> {
             input_size: concat - hidden_size,
             hidden_size,
         }
-    }
-}
-
-/// An [`LstmCellWeights<f32>`] snapshot stored as truncated bfloat16 — half
-/// the resident bytes, decoded back into pooled `f32` scratch per inference
-/// task (`RM_SNAPSHOT_DTYPE=bf16`). Storage-only; see [`rm_tensor::half`]
-/// for the epsilon contract.
-#[derive(Debug, Clone)]
-pub struct LstmCellWeightsBf16 {
-    input_gate: crate::linear::LinearWeightsBf16,
-    forget_gate: crate::linear::LinearWeightsBf16,
-    output_gate: crate::linear::LinearWeightsBf16,
-    candidate: crate::linear::LinearWeightsBf16,
-    input_size: usize,
-    hidden_size: usize,
-}
-
-impl LstmCellWeightsBf16 {
-    /// Encodes an `f32` snapshot by truncating every weight to bfloat16.
-    pub fn from_weights(w: &LstmCellWeights<f32>) -> Self {
-        Self {
-            input_gate: crate::linear::LinearWeightsBf16::from_weights(&w.input_gate),
-            forget_gate: crate::linear::LinearWeightsBf16::from_weights(&w.forget_gate),
-            output_gate: crate::linear::LinearWeightsBf16::from_weights(&w.output_gate),
-            candidate: crate::linear::LinearWeightsBf16::from_weights(&w.candidate),
-            input_size: w.input_size,
-            hidden_size: w.hidden_size,
-        }
-    }
-
-    /// Decodes into an `f32` snapshot whose matrices are checked out of
-    /// `ws`; pair with [`LstmCellWeights::recycle`] to return them.
-    pub fn decode_ws(&self, ws: &mut Workspace<f32>) -> LstmCellWeights<f32> {
-        LstmCellWeights {
-            input_gate: self.input_gate.decode_ws(ws),
-            forget_gate: self.forget_gate.decode_ws(ws),
-            output_gate: self.output_gate.decode_ws(ws),
-            candidate: self.candidate.decode_ws(ws),
-            input_size: self.input_size,
-            hidden_size: self.hidden_size,
-        }
-    }
-
-    /// Bytes this snapshot keeps resident (2 per weight).
-    pub fn resident_bytes(&self) -> usize {
-        self.input_gate.resident_bytes()
-            + self.forget_gate.resident_bytes()
-            + self.output_gate.resident_bytes()
-            + self.candidate.resident_bytes()
     }
 }
 
@@ -504,37 +437,6 @@ mod tests {
         assert_eq!(h1.shape(), (6, 1));
         assert!(h1.value().data().iter().all(|v| v.abs() <= 1.0));
         assert_eq!(cell.parameters().len(), 4);
-    }
-
-    #[test]
-    fn bf16_cell_snapshot_halves_bytes_and_steps_stay_epsilon_close() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let cell: LstmCell = LstmCell::new(3, 5, &mut rng);
-        let w32 = cell.snapshot().cast::<f32>();
-        let packed = LstmCellWeightsBf16::from_weights(&w32);
-        assert_eq!(packed.resident_bytes() * 2, w32.resident_bytes());
-
-        let mut ws = Workspace::new();
-        let decoded = packed.decode_ws(&mut ws);
-        let mut exact_state = LstmStateMatrix::zeros(5);
-        let mut approx_state = LstmStateMatrix::zeros(5);
-        for t in 0..4 {
-            let x: Matrix<f32> = Matrix::from_fn(3, 1, |r, _| 0.3 * (t as f32) - 0.1 * r as f32);
-            exact_state = w32.step(&x, &exact_state);
-            approx_state = decoded.step(&x, &approx_state);
-        }
-        // Gate outputs are squashed into [-1, 1], so a loose absolute bound
-        // on the 2^-7-truncated weights is enough to pin the decode path.
-        for (a, b) in exact_state
-            .h
-            .data()
-            .iter()
-            .chain(exact_state.c.data())
-            .zip(approx_state.h.data().iter().chain(approx_state.c.data()))
-        {
-            assert!((a - b).abs() < 0.15, "bf16 LSTM drifted: {a} vs {b}");
-        }
-        decoded.recycle(&mut ws);
     }
 
     #[test]

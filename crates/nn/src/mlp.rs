@@ -243,63 +243,6 @@ impl<T: Scalar> MlpWeights<T> {
         }
         h.expect("an MLP always has at least one layer")
     }
-
-    /// Bytes this snapshot keeps resident (all layers at `T`).
-    pub fn resident_bytes(&self) -> usize {
-        self.layers.iter().map(LinearWeights::resident_bytes).sum()
-    }
-
-    /// Returns the snapshot's matrices to `ws` for capacity reuse — the
-    /// give-back half of a per-task [`MlpWeightsBf16::decode_ws`] cycle.
-    pub fn recycle(self, ws: &mut Workspace<T>) {
-        for layer in self.layers {
-            layer.recycle(ws);
-        }
-    }
-}
-
-/// An [`MlpWeights<f32>`] snapshot stored as truncated bfloat16 — half the
-/// resident bytes, decoded back into pooled `f32` scratch per inference task
-/// (`RM_SNAPSHOT_DTYPE=bf16`). Storage-only; see [`rm_tensor::half`] for the
-/// epsilon contract.
-#[derive(Debug, Clone)]
-pub struct MlpWeightsBf16 {
-    layers: Vec<crate::linear::LinearWeightsBf16>,
-    hidden_activation: Activation,
-    output_activation: Activation,
-}
-
-impl MlpWeightsBf16 {
-    /// Encodes an `f32` snapshot by truncating every weight to bfloat16.
-    pub fn from_weights(w: &MlpWeights<f32>) -> Self {
-        Self {
-            layers: w
-                .layers
-                .iter()
-                .map(crate::linear::LinearWeightsBf16::from_weights)
-                .collect(),
-            hidden_activation: w.hidden_activation,
-            output_activation: w.output_activation,
-        }
-    }
-
-    /// Decodes into an `f32` snapshot whose matrices are checked out of
-    /// `ws`; pair with [`MlpWeights::recycle`] to return them.
-    pub fn decode_ws(&self, ws: &mut Workspace<f32>) -> MlpWeights<f32> {
-        MlpWeights {
-            layers: self.layers.iter().map(|l| l.decode_ws(ws)).collect(),
-            hidden_activation: self.hidden_activation,
-            output_activation: self.output_activation,
-        }
-    }
-
-    /// Bytes this snapshot keeps resident (2 per weight).
-    pub fn resident_bytes(&self) -> usize {
-        self.layers
-            .iter()
-            .map(crate::linear::LinearWeightsBf16::resident_bytes)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -394,26 +337,6 @@ mod tests {
         assert!(graph.bits_eq(&pooled));
         ws.give(pooled);
         assert!(graph.bits_eq(&weights.forward_ws(&x, &mut ws)));
-    }
-
-    #[test]
-    fn bf16_mlp_snapshot_halves_bytes_and_forward_stays_epsilon_close() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mlp: Mlp = Mlp::new(&[3, 6, 2], Activation::Tanh, Activation::Sigmoid, &mut rng);
-        let w32 = mlp.snapshot().cast::<f32>();
-        let packed = MlpWeightsBf16::from_weights(&w32);
-        assert_eq!(packed.resident_bytes() * 2, w32.resident_bytes());
-
-        let mut ws = Workspace::new();
-        let decoded = packed.decode_ws(&mut ws);
-        let x: Matrix<f32> = Matrix::column(&[0.4f64, -1.1, 0.9]).cast();
-        let exact = w32.forward(&x);
-        let approx = decoded.forward(&x);
-        // Sigmoid outputs live in [0, 1]; the 2^-7 weight truncation passes
-        // through two squashing layers, so a loose absolute bound suffices.
-        assert!(exact.approx_eq(&approx, 0.05));
-        decoded.recycle(&mut ws);
-        assert!(approx.bits_eq(&packed.decode_ws(&mut ws).forward(&x)));
     }
 
     #[test]

@@ -3,19 +3,18 @@
 //! container holding the partition plus one such blob per shard
 //! ([`encode_sharded`]).
 //!
-//! # Format (version 2, all integers little-endian)
+//! # Format (version 3, all integers little-endian)
 //!
 //! ```text
 //! header   magic        4 B   b"RMVM"
-//!          version      u32   2
+//!          version      u32   3
 //!          payload_len  u64   bytes of payload that follow the header
 //!          checksum     u64   FNV-1a 64 over the payload bytes
 //! payload  venue        string (u32 length + UTF-8 bytes)
 //!          estimator    u8    0 = KNN, 1 = WKNN, 2 = RandomForest
 //!          knn_k        u32
 //!          seed         u64
-//!          precision    u8    0 = f64, 1 = f32
-//!          dtype        u8    0 = native, 1 = bf16
+//!          precision    u8    0 = f64, 1 = f32, 2 = bf16
 //!          num_aps      u32
 //!          map          n: u32; n × num_aps f64 bit patterns (fingerprints,
 //!                       row-major); n × 2 f64 bit patterns (locations x, y);
@@ -43,7 +42,7 @@ use radiomap_core::{ShardedVenueSnapshot, VenueSnapshot};
 use rm_geometry::Point;
 use rm_positioning::EstimatorKind;
 use rm_radiomap::{DenseRadioMap, EntryKind, MaskMatrix, VenueShards};
-use rm_tensor::{Bf16Matrix, Matrix, NamedTensor, Precision, SnapshotDtype, TensorPayload};
+use rm_tensor::{Bf16Matrix, Matrix, NamedTensor, Precision, TensorPayload};
 
 /// The artifact magic: "RMVM" (Radio-Map Venue Model).
 pub const MAGIC: [u8; 4] = *b"RMVM";
@@ -56,7 +55,7 @@ pub const MAGIC: [u8; 4] = *b"RMVM";
 pub const SHARDED_MAGIC: [u8; 4] = *b"RMVS";
 
 /// The format version this build writes and the only one it reads.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Bytes of the fixed-size artifact header (magic + version + payload length
 /// + checksum).
@@ -96,8 +95,8 @@ pub enum ArtifactError {
         /// FNV-1a 64 of the payload as read.
         computed: u64,
     },
-    /// An enum tag outside its domain (estimator / precision / dtype / mask
-    /// entry).
+    /// An enum tag outside its domain (estimator / precision / tensor dtype /
+    /// mask entry).
     InvalidTag {
         /// The field holding the tag.
         field: &'static str,
@@ -186,13 +185,7 @@ fn precision_tag(precision: Precision) -> u8 {
     match precision {
         Precision::F64 => 0,
         Precision::F32 => 1,
-    }
-}
-
-fn dtype_tag(dtype: SnapshotDtype) -> u8 {
-    match dtype {
-        SnapshotDtype::Native => 0,
-        SnapshotDtype::Bf16 => 1,
+        Precision::Bf16 => 2,
     }
 }
 
@@ -204,7 +197,6 @@ pub fn encode(snapshot: &VenueSnapshot) -> Vec<u8> {
     payload.extend_from_slice(&(snapshot.knn_k as u32).to_le_bytes());
     payload.extend_from_slice(&snapshot.seed.to_le_bytes());
     payload.push(precision_tag(snapshot.precision));
-    payload.push(dtype_tag(snapshot.snapshot_dtype));
     payload.extend_from_slice(&(snapshot.map.num_aps() as u32).to_le_bytes());
 
     // Dense radio map.
@@ -387,19 +379,10 @@ pub fn decode(bytes: &[u8]) -> Result<VenueSnapshot, ArtifactError> {
     let precision = match r.u8("precision")? {
         0 => Precision::F64,
         1 => Precision::F32,
+        2 => Precision::Bf16,
         value => {
             return Err(ArtifactError::InvalidTag {
                 field: "precision",
-                value: i64::from(value),
-            })
-        }
-    };
-    let snapshot_dtype = match r.u8("dtype")? {
-        0 => SnapshotDtype::Native,
-        1 => SnapshotDtype::Bf16,
-        value => {
-            return Err(ArtifactError::InvalidTag {
-                field: "dtype",
                 value: i64::from(value),
             })
         }
@@ -517,7 +500,6 @@ pub fn decode(bytes: &[u8]) -> Result<VenueSnapshot, ArtifactError> {
         knn_k,
         seed,
         precision,
-        snapshot_dtype,
         tensors,
     })
 }
@@ -659,8 +641,7 @@ mod tests {
             estimator: EstimatorKind::Wknn,
             knn_k: 3,
             seed: 2023,
-            precision: Precision::F32,
-            snapshot_dtype: SnapshotDtype::Bf16,
+            precision: Precision::Bf16,
             tensors: vec![
                 NamedTensor::new("w.f64", Matrix::<f64>::from_vec(1, 2, vec![1.5, f64::NAN])),
                 NamedTensor::new("w.f32", Matrix::<f32>::from_vec(2, 1, vec![-0.0, 7.25])),
@@ -678,7 +659,6 @@ mod tests {
         assert_eq!(a.knn_k, b.knn_k);
         assert_eq!(a.seed, b.seed);
         assert_eq!(a.precision, b.precision);
-        assert_eq!(a.snapshot_dtype, b.snapshot_dtype);
         assert_eq!(a.map.num_aps(), b.map.num_aps());
         assert_eq!(a.map.len(), b.map.len());
         for (fa, fb) in a.map.fingerprints().iter().zip(b.map.fingerprints()) {
@@ -768,9 +748,13 @@ mod tests {
         let venue_len = 4 + snapshot.venue.len();
         let estimator_off = HEADER_LEN + venue_len;
         let precision_off = estimator_off + 1 + 4 + 8;
-        for (offset, field) in [(estimator_off, "estimator"), (precision_off, "precision")] {
+        for (offset, field, tag) in [
+            (estimator_off, "estimator", 0xEE),
+            (precision_off, "precision", 0xEE),
+            (precision_off, "precision", 3),
+        ] {
             let mut forged = bytes.clone();
-            forged[offset] = 0xEE;
+            forged[offset] = tag;
             let payload = forged[HEADER_LEN..].to_vec();
             forged[16..24].copy_from_slice(&fnv1a64(&payload).to_le_bytes());
             match decode(&forged) {

@@ -154,7 +154,7 @@ mod tests {
     use radiomap_core::prelude::EstimatorKind;
     use radiomap_core::VenueSnapshot;
     use rm_radiomap::{DenseRadioMap, MaskMatrix};
-    use rm_tensor::{Precision, SnapshotDtype};
+    use rm_tensor::Precision;
 
     fn registry_with_grid() -> ModelRegistry {
         // 4 reference points on a line; 1-NN is exact on its fingerprints.
@@ -171,7 +171,6 @@ mod tests {
                 knn_k: 1,
                 seed: 0,
                 precision: Precision::F64,
-                snapshot_dtype: SnapshotDtype::Native,
                 tensors: Vec::new(),
             }),
             1,

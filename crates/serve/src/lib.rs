@@ -10,8 +10,8 @@
 //!   `RMVM` blob with a bitwise round-trip guarantee, and
 //!   [`encode_sharded`] / [`decode_sharded`] wrap the partition plus one
 //!   blob per shard in an `RMVS` container. Snapshots exported at
-//!   `SnapshotDtype::Bf16` serialize their tensors at 2 bytes per element,
-//!   so bf16 artifacts are 4× smaller than f64 ones.
+//!   `Precision::Bf16` serialize their tensors at 2 bytes per element, so
+//!   bf16 artifacts are 4× smaller than f64 ones.
 //! * [`model`] — [`ShardedVenueModel`]: one immutable [`ShardModel`]
 //!   (snapshot + estimator, tagged with the generation that published it)
 //!   per shard, answering KNN/WKNN queries by exact cross-shard re-rank so
@@ -117,7 +117,7 @@ mod tests {
     use radiomap_core::VenueSnapshot;
     use rm_geometry::Point;
     use rm_radiomap::{DenseRadioMap, MaskMatrix, VenueShards};
-    use rm_tensor::{Precision, SnapshotDtype};
+    use rm_tensor::Precision;
 
     /// Wraps `snapshot` as a 1-shard venue: one shard holding every record.
     pub(crate) fn single_shard(snapshot: VenueSnapshot) -> ShardedVenueSnapshot {
@@ -144,7 +144,6 @@ mod tests {
             knn_k: 3,
             seed: 11,
             precision: Precision::F32,
-            snapshot_dtype: SnapshotDtype::Native,
             tensors: Vec::new(),
         })
     }

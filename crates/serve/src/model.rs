@@ -331,7 +331,7 @@ mod tests {
     use super::*;
     use radiomap_core::prelude::EstimatorKind;
     use rm_radiomap::{DenseRadioMap, MaskMatrix};
-    use rm_tensor::{Precision, SnapshotDtype};
+    use rm_tensor::Precision;
 
     fn snapshot() -> VenueSnapshot {
         VenueSnapshot {
@@ -347,7 +347,6 @@ mod tests {
             knn_k: 1,
             seed: 7,
             precision: Precision::F64,
-            snapshot_dtype: SnapshotDtype::Native,
             tensors: Vec::new(),
         }
     }

@@ -161,7 +161,7 @@ mod tests {
     use radiomap_core::prelude::EstimatorKind;
     use rm_geometry::Point;
     use rm_radiomap::{DenseRadioMap, MaskMatrix};
-    use rm_tensor::{Precision, SnapshotDtype};
+    use rm_tensor::Precision;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn snapshot(venue: &str, x: f64) -> VenueSnapshot {
@@ -174,7 +174,6 @@ mod tests {
             knn_k: 1,
             seed: 0,
             precision: Precision::F64,
-            snapshot_dtype: SnapshotDtype::Native,
             tensors: Vec::new(),
         }
     }

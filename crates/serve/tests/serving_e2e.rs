@@ -3,7 +3,7 @@
 //! served whole (one shard, pinned so `RM_SHARDS` cannot reshard them).
 //!
 //! 1. **Artifact fidelity** — any `VenueSnapshot`, including real pipeline
-//!    exports at every precision × snapshot-dtype combination, round-trips
+//!    exports at every precision, round-trips
 //!    through the on-disk format bitwise (property-tested over arbitrary
 //!    bit patterns: NaNs, −0.0, infinities).
 //! 2. **Serving ≡ offline** — a 1-shard model loaded from a persisted
@@ -63,7 +63,6 @@ fn pipeline(
     imputer: ImputerKind,
     estimator: EstimatorKind,
     precision: Precision,
-    snapshot_dtype: SnapshotDtype,
 ) -> ImputationPipeline {
     ImputationPipeline::new(PipelineConfig {
         differentiator: DifferentiatorKind::MarOnly,
@@ -72,7 +71,6 @@ fn pipeline(
         epochs: Some(2),
         threads: 1,
         precision,
-        snapshot_dtype,
         shards: Some(1),
         ..PipelineConfig::default()
     })
@@ -89,23 +87,14 @@ fn export(pipeline: ImputationPipeline, venue: &str, map: &RadioMap) -> ShardedV
 // 1. Artifact fidelity
 // ---------------------------------------------------------------------------
 
-/// Real pipeline exports round-trip bitwise at every precision ×
-/// snapshot-dtype combination, trained-tensor payloads included.
+/// Real pipeline exports round-trip bitwise at every precision,
+/// trained-tensor payloads included.
 #[test]
 fn pipeline_exports_round_trip_bitwise_across_dtype_combos() {
     let map = survey_map(18, 5);
-    for (precision, snapshot_dtype) in [
-        (Precision::F64, SnapshotDtype::Native),
-        (Precision::F32, SnapshotDtype::Native),
-        (Precision::F32, SnapshotDtype::Bf16),
-    ] {
+    for precision in [Precision::F64, Precision::F32, Precision::Bf16] {
         let sharded = export(
-            pipeline(
-                ImputerKind::Brits,
-                EstimatorKind::Knn,
-                precision,
-                snapshot_dtype,
-            ),
+            pipeline(ImputerKind::Brits, EstimatorKind::Knn, precision),
             "e2e",
             &map,
         );
@@ -116,7 +105,7 @@ fn pipeline_exports_round_trip_bitwise_across_dtype_combos() {
         assert_eq!(
             encode_sharded(&decoded),
             bytes,
-            "{precision:?}/{snapshot_dtype:?} export did not round-trip bitwise"
+            "{precision} export did not round-trip bitwise"
         );
         let (snapshot, decoded) = (&sharded.snapshots[0], &decoded.snapshots[0]);
         assert_eq!(
@@ -137,22 +126,12 @@ fn pipeline_exports_round_trip_bitwise_across_dtype_combos() {
 fn bf16_artifacts_are_four_times_smaller_in_tensor_payload() {
     let map = survey_map(18, 5);
     let f64_snapshot = export(
-        pipeline(
-            ImputerKind::Brits,
-            EstimatorKind::Knn,
-            Precision::F64,
-            SnapshotDtype::Native,
-        ),
+        pipeline(ImputerKind::Brits, EstimatorKind::Knn, Precision::F64),
         "e2e",
         &map,
     );
     let bf16_snapshot = export(
-        pipeline(
-            ImputerKind::Brits,
-            EstimatorKind::Knn,
-            Precision::F32,
-            SnapshotDtype::Bf16,
-        ),
+        pipeline(ImputerKind::Brits, EstimatorKind::Knn, Precision::Bf16),
         "e2e",
         &map,
     );
@@ -254,15 +233,10 @@ fn build_snapshot(seed: u64) -> VenueSnapshot {
         },
         knn_k: 1 + (draw() % 5) as usize,
         seed: draw(),
-        precision: if draw() % 2 == 0 {
-            Precision::F64
-        } else {
-            Precision::F32
-        },
-        snapshot_dtype: if draw() % 2 == 0 {
-            SnapshotDtype::Native
-        } else {
-            SnapshotDtype::Bf16
+        precision: match draw() % 3 {
+            0 => Precision::F64,
+            1 => Precision::F32,
+            _ => Precision::Bf16,
         },
         tensors,
     }
@@ -358,12 +332,7 @@ fn serving_matches_the_offline_estimator_query_for_query() {
         (ImputerKind::CaseDeletion, 8, EstimatorKind::RandomForest),
     ] {
         let sharded = export(
-            pipeline(
-                imputer,
-                estimator_kind,
-                Precision::F64,
-                SnapshotDtype::Native,
-            ),
+            pipeline(imputer, estimator_kind, Precision::F64),
             "offline-parity",
             &map,
         );
@@ -422,7 +391,6 @@ fn a_fixed_query_log_is_bit_identical_at_any_thread_count() {
             ImputerKind::LinearInterpolation,
             EstimatorKind::Wknn,
             Precision::F64,
-            SnapshotDtype::Native,
         ),
         "det",
         &map,
@@ -475,7 +443,6 @@ fn generation_snapshot(generation: u64) -> ShardedVenueSnapshot {
         knn_k: 1,
         seed: 0,
         precision: Precision::F64,
-        snapshot_dtype: SnapshotDtype::Native,
         tensors: Vec::new(),
     };
     ShardedVenueSnapshot {

@@ -10,7 +10,8 @@
 //!    pointer-identically, and the incremental snapshots equal a full
 //!    recompute bitwise.
 //! 3. **Determinism** — a fixed query log through the sharded engine is
-//!    bit-identical at any thread count.
+//!    bit-identical at any thread count, and so is a warm-started
+//!    (`LiveVenue::ingest_warm`) bf16 venue update.
 
 use std::sync::Arc;
 
@@ -18,6 +19,7 @@ use radiomap_core::prelude::*;
 use radiomap_core::{LiveVenue, PipelineConfig};
 use rm_radiomap::MNAR_FILL_VALUE;
 use rm_serve::{decode_sharded, encode, encode_sharded, ModelRegistry, ShardedQueryEngine};
+use rm_tensor::TensorPayload;
 
 // ---------------------------------------------------------------------------
 // Fixtures
@@ -312,6 +314,107 @@ fn incremental_republish_swaps_only_the_dirty_shard() {
         answer.generation,
         after.models()[dirty_shard].generation(),
         "response attributes to the republished generation"
+    );
+}
+
+/// Warm-started ingest of a bf16 BRITS venue: the log dirties exactly the
+/// shard whose region it lands in; that shard's re-imputation resumes from
+/// its previous bf16 tensors (it does not fall back to cold training) and
+/// re-exports bf16 tensors; the updated venue publishes and serves every
+/// query (so its row records fit the grown member lists); and the whole
+/// update is bit-identical at any thread count.
+#[test]
+fn warm_ingest_republishes_bf16_shards_bit_identically_at_any_thread_count() {
+    let log: Vec<RadioMapRecord> = (0..3)
+        .map(|i| {
+            let values: Vec<Option<f64>> = (0..NUM_APS)
+                .map(|ap| (ap / 2 == 2).then_some(-41.0 - i as f64 - ap as f64))
+                .collect();
+            RadioMapRecord::new(
+                Fingerprint::new(values),
+                Some(Point::new(104.0 + i as f64, 20.5)),
+                i as f64,
+                99,
+            )
+        })
+        .collect();
+    let build = |threads: usize| {
+        LiveVenue::build(
+            "warm",
+            multi_path_map(),
+            MultiPolygon::empty(),
+            PipelineConfig {
+                differentiator: DifferentiatorKind::MarOnly,
+                imputer: ImputerKind::Brits,
+                epochs: Some(2),
+                threads,
+                precision: Precision::Bf16,
+                shards: Some(2),
+                ..PipelineConfig::default()
+            },
+        )
+    };
+    let mut live = build(1);
+    let before: Vec<Vec<u8>> = live.snapshots().iter().map(encode).collect();
+    let dirty = live.ingest_warm(&log, 1);
+
+    assert_eq!(dirty.len(), 1, "the log touches one shard's region");
+    let dirty_shard = dirty[0];
+    let total = live.map().len();
+    let members = live.shards().members_of(dirty_shard);
+    assert!(
+        (total - log.len()..total).all(|r| members.contains(&r)),
+        "the ingested records join the dirty shard"
+    );
+    for (shard, snapshot) in live.snapshots().iter().enumerate() {
+        if shard != dirty_shard {
+            assert_eq!(
+                encode(snapshot),
+                before[shard],
+                "clean shard {shard} changed"
+            );
+        }
+    }
+    let tensors = &live.snapshots()[dirty_shard].tensors;
+    assert_eq!(tensors.len(), 24, "BRITS exports 24 weight tensors");
+    for t in tensors {
+        assert!(
+            matches!(t.payload, TensorPayload::Bf16(_)),
+            "{} is {}, not bf16",
+            t.name,
+            t.payload.dtype_name()
+        );
+    }
+
+    let registry = ModelRegistry::new();
+    registry.publish_sharded(live.sharded_snapshot(), 1);
+    let log_queries = query_log(live.map());
+    let responses = ShardedQueryEngine::new(&registry, "warm", 1).run_log(&log_queries);
+    assert_eq!(responses.len(), log_queries.len());
+    assert!(
+        responses.iter().all(|r| r.position.is_some()),
+        "every query is answered"
+    );
+
+    // The update resumed from the previous weights: a cold re-training of
+    // the same shard lands elsewhere.
+    let mut cold = build(1);
+    assert_eq!(cold.ingest(&log), dirty);
+    assert!(
+        cold.snapshots()[dirty_shard]
+            .tensors
+            .iter()
+            .zip(tensors)
+            .any(|(a, b)| !a.bits_eq(b)),
+        "warm ingest fell back to cold training"
+    );
+
+    let mut parallel = build(2);
+    assert_eq!(parallel.ingest_warm(&log, 1), dirty);
+    assert_eq!(
+        encode_sharded(&parallel.sharded_snapshot()),
+        encode_sharded(&live.sharded_snapshot()),
+        "warm bf16 ingest differs between threads=1 and threads=2"
     );
 }
 

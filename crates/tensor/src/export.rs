@@ -4,16 +4,15 @@
 //! The serving artifact (`rm-serve`) persists trained models as a flat list
 //! of [`NamedTensor`]s — one dense matrix per parameter, tagged with a name
 //! and a storage dtype — so the on-disk format never has to know the shape
-//! of any particular model. The dtype axis mirrors the resident snapshot
-//! axis ([`SnapshotDtype`] × [`Precision`](crate::Precision)): a snapshot
-//! trained at f64, rounded to f32, or truncated to bfloat16 exports exactly
-//! the bits it keeps resident, so a decoded artifact reproduces the serving
-//! model bit for bit.
+//! of any particular model. The dtype axis mirrors the
+//! [`Precision`](crate::Precision) axis: a snapshot trained at f64, rounded
+//! to f32, or rounded to bfloat16 exports exactly the weights its inference
+//! runs on, so a decoded artifact reproduces the serving model bit for bit.
 
 use crate::half::Bf16Matrix;
 use crate::matrix::Matrix;
 
-/// The payload of one exported tensor, at its resident storage dtype.
+/// The payload of one exported tensor, at its storage dtype.
 #[derive(Debug, Clone)]
 pub enum TensorPayload {
     /// Double-precision payload (8 bytes per element).

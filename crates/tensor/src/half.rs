@@ -1,4 +1,5 @@
-//! Sub-f32 *storage*: a software `bf16` snapshot format.
+//! bf16: the 2-byte tensor format of [`Precision::Bf16`](crate::Precision)
+//! exports.
 //!
 //! `bf16` (bfloat16) is the upper half of an IEEE-754 binary32: 1 sign bit,
 //! the same 8 exponent bits as `f32`, and 7 mantissa bits. Encoding is pure
@@ -8,24 +9,14 @@
 //! zeroed. The relative error of one encode is bounded by `2^-7` (one ulp of
 //! the 7-bit mantissa).
 //!
-//! This is a **storage** type, not a compute type: [`Scalar`] stays sealed
-//! to `f64`/`f32`, and every kernel still runs at full register width. A
-//! [`Bf16Matrix`] is the resident form of a trained snapshot (half the bytes
-//! of `f32`, a quarter of `f64`); at inference time it decodes row-blocks
-//! into pooled [`Workspace`] `f32` scratch and the existing `f32` kernels
-//! take over. Accuracy is therefore epsilon-checked, not bit-compatible —
-//! the same contract as the `RM_FMA=1` kernels, and the opposite of the
-//! `RM_SIMD` default path.
-
-use std::fmt;
+//! This is a **storage** format, not a compute type: [`Scalar`](crate::Scalar)
+//! stays sealed to `f64`/`f32`. Every bf16 value is exactly representable in
+//! `f32`, so bf16 inference is the ordinary f32 inference run on weights
+//! rounded once to bf16 — the weights a [`Bf16Matrix`] export stores, read
+//! back. Accuracy is therefore epsilon-checked against f32, not
+//! bit-compatible with it.
 
 use crate::matrix::Matrix;
-use crate::workspace::Workspace;
-
-/// Rows decoded per block when expanding a [`Bf16Matrix`] into `f32`
-/// scratch: 64 rows of a few-hundred-column snapshot matrix stay well inside
-/// L1/L2, matching the `MATMUL_BLOCK` panel reasoning.
-const DECODE_ROW_BLOCK: usize = 64;
 
 /// Encodes an `f32` as bfloat16 bits by truncating the low 16 mantissa bits.
 #[inline]
@@ -39,53 +30,8 @@ pub fn bf16_to_f32(bits: u16) -> f32 {
     f32::from_bits(u32::from(bits) << 16)
 }
 
-/// The resident storage format of a trained snapshot — the serving-path
-/// memory knob (`RM_SNAPSHOT_DTYPE` in the experiment harness).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SnapshotDtype {
-    /// Store snapshots at the compute precision (the default; resident bytes
-    /// are `size_of::<T>()` per weight and inference is bit-compatible with
-    /// the pre-dtype pipeline).
-    #[default]
-    Native,
-    /// Store snapshots as truncated bfloat16 (`u16`) and decode row-blocks
-    /// into pooled `f32` scratch at inference time: half the resident bytes
-    /// of an `f32` snapshot, with an epsilon-bounded accuracy cost. Only
-    /// meaningful for `f32` inference (`Precision::F32`); the `f64` path
-    /// ignores it.
-    Bf16,
-}
-
-impl SnapshotDtype {
-    /// Lowercase name (`"native"` / `"bf16"`), for reports and env parsing.
-    pub fn name(self) -> &'static str {
-        match self {
-            SnapshotDtype::Native => "native",
-            SnapshotDtype::Bf16 => "bf16",
-        }
-    }
-
-    /// Parses `"native"` / `"bf16"` (ASCII case-insensitive); `None`
-    /// otherwise.
-    pub fn parse(s: &str) -> Option<Self> {
-        if s.eq_ignore_ascii_case("native") {
-            Some(SnapshotDtype::Native)
-        } else if s.eq_ignore_ascii_case("bf16") {
-            Some(SnapshotDtype::Bf16)
-        } else {
-            None
-        }
-    }
-}
-
-impl fmt::Display for SnapshotDtype {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// A dense row-major matrix stored as truncated bfloat16 bits — the
-/// half-size resident form of an `f32` snapshot matrix.
+/// 2-bytes-per-element form of an `f32` weight matrix in a bf16 export.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bf16Matrix {
     rows: usize,
@@ -118,11 +64,6 @@ impl Bf16Matrix {
         bf16_to_f32(self.data[row * self.cols + col])
     }
 
-    /// Bytes this matrix keeps resident (the `u16` payload).
-    pub fn resident_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<u16>()
-    }
-
     /// The raw truncated-bfloat16 bits, row-major — the exact payload the
     /// serving artifact serializes, so a persisted bf16 tensor round-trips
     /// bit for bit.
@@ -142,22 +83,6 @@ impl Bf16Matrix {
             cols,
             data: bits,
         }
-    }
-
-    /// Decodes into `f32` scratch checked out of `ws`, expanding
-    /// [`DECODE_ROW_BLOCK`] rows at a time so the working set of one block
-    /// stays cache-resident while the kernels stream the previous one.
-    pub fn decode_ws(&self, ws: &mut Workspace<f32>) -> Matrix<f32> {
-        let mut out = ws.take(self.rows, self.cols);
-        let dst = out.data_mut();
-        for block_start in (0..self.rows).step_by(DECODE_ROW_BLOCK.max(1)) {
-            let start = block_start * self.cols;
-            let end = (block_start + DECODE_ROW_BLOCK).min(self.rows) * self.cols;
-            for (d, &bits) in dst[start..end].iter_mut().zip(&self.data[start..end]) {
-                *d = bf16_to_f32(bits);
-            }
-        }
-        out
     }
 }
 
@@ -193,7 +118,7 @@ mod tests {
     }
 
     #[test]
-    fn matrix_encode_decode_round_trips_through_workspace_scratch() {
+    fn matrix_encode_round_trips_through_raw_bits() {
         let src = Matrix::<f32>::from_vec(
             130,
             3,
@@ -201,29 +126,16 @@ mod tests {
         );
         let packed = Bf16Matrix::from_matrix(&src);
         assert_eq!((packed.rows(), packed.cols()), (130, 3));
-        assert_eq!(packed.resident_bytes(), 390 * 2);
+        assert_eq!(packed.bits().len(), 390);
 
-        let mut ws = Workspace::new();
-        // Dirty the workspace first: decode must fully overwrite its scratch.
-        let dirty = Matrix::<f32>::filled(130, 3, f32::NAN);
-        ws.give(dirty);
-        let decoded = packed.decode_ws(&mut ws);
+        let reloaded = Bf16Matrix::from_bits(130, 3, packed.bits().to_vec());
+        assert_eq!(reloaded, packed);
         for r in 0..130 {
             for c in 0..3 {
-                assert_eq!(decoded.get(r, c).to_bits(), packed.get(r, c).to_bits());
-                let err = (decoded.get(r, c) - src.get(r, c)).abs();
+                assert_eq!(reloaded.get(r, c).to_bits(), packed.get(r, c).to_bits());
+                let err = (reloaded.get(r, c) - src.get(r, c)).abs();
                 assert!(err <= src.get(r, c).abs() / 128.0 + f32::EPSILON);
             }
         }
-    }
-
-    #[test]
-    fn snapshot_dtype_parses_and_displays() {
-        assert_eq!(SnapshotDtype::default(), SnapshotDtype::Native);
-        assert_eq!(SnapshotDtype::parse("bf16"), Some(SnapshotDtype::Bf16));
-        assert_eq!(SnapshotDtype::parse("NATIVE"), Some(SnapshotDtype::Native));
-        assert_eq!(SnapshotDtype::parse("f16"), None);
-        assert_eq!(SnapshotDtype::Bf16.to_string(), "bf16");
-        assert_eq!(SnapshotDtype::Native.name(), "native");
     }
 }

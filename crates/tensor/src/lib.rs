@@ -13,9 +13,8 @@
 //!   them and fall back to the bitwise-identical scalar reference otherwise
 //!   (`RM_SIMD=0` forces the reference; `RM_FMA=1` opts into the
 //!   epsilon-only fused variants),
-//! * [`SnapshotDtype`] and the [`half`] module — software bf16 (`u16`
-//!   truncation of f32) for storing inference snapshots at half the f32
-//!   footprint, decoded back to f32 before any arithmetic,
+//! * the [`half`] module — software bf16 (`u16` truncation of f32), the
+//!   2-byte tensor format of [`Precision::Bf16`] exports,
 //! * [`Var`] — a node in a dynamically-built reverse-mode autodiff graph
 //!   (default `Var<f64>`), supporting matrix products, element-wise
 //!   arithmetic, activations, masking, concatenation, column softmax and
@@ -53,7 +52,7 @@ pub mod workspace;
 
 pub use autodiff::Var;
 pub use export::{IntoTensorPayload, NamedTensor, TensorPayload};
-pub use half::{bf16_to_f32, f32_to_bf16, Bf16Matrix, SnapshotDtype};
+pub use half::{bf16_to_f32, f32_to_bf16, Bf16Matrix};
 pub use matrix::{Matrix, MATMUL_BLOCK};
 pub use scalar::{Precision, Scalar};
 pub use simd::{fma_enabled, simd_enabled, simd_kernel_name};

@@ -323,14 +323,18 @@ impl_scalar!(
 );
 
 /// The numeric precision a pipeline stage runs at — the user-facing knob
-/// that selects the [`Scalar`] instantiation of the inference kernels.
+/// that selects the [`Scalar`] instantiation of the inference kernels and the
+/// dtype trained weights are exported at.
 ///
 /// Training always runs at `f64` (the autodiff graph and optimizer state are
 /// `f64`; that is what the cross-PR determinism contract covers). `F32`
 /// switches the *inference* passes of the neural imputers to the f32 kernels:
 /// trained weights are rounded once to f32 and every sequence is evaluated
-/// with twice the SIMD lanes and half the memory traffic. At either setting
-/// the output is bit-identical across thread counts.
+/// with twice the SIMD lanes and half the memory traffic. `Bf16` rounds the
+/// weights once more, to bfloat16 ([`crate::half`]); every bf16 value is an
+/// f32 value, so inference is the same f32 pass on those weights, and the
+/// export stores them at 2 bytes per weight. At every setting the output is
+/// bit-identical across thread counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// Double precision end to end (the default; bit-compatible with the
@@ -339,26 +343,29 @@ pub enum Precision {
     F64,
     /// Single-precision inference kernels, f64 training.
     F32,
+    /// f64 training, weights rounded once to bf16, f32 inference kernels,
+    /// and export at 2 bytes per weight (a quarter of `F64`). Accuracy is
+    /// epsilon-bounded against `F32`, not bit-compatible with it.
+    Bf16,
 }
 
 impl Precision {
-    /// Lowercase name (`"f64"` / `"f32"`), for reports and env parsing.
+    /// Lowercase name (`"f64"` / `"f32"` / `"bf16"`), for reports and env
+    /// parsing.
     pub fn name(self) -> &'static str {
         match self {
             Precision::F64 => "f64",
             Precision::F32 => "f32",
+            Precision::Bf16 => "bf16",
         }
     }
 
-    /// Parses `"f32"` / `"f64"` (ASCII case-insensitive); `None` otherwise.
+    /// Parses `"f64"` / `"f32"` / `"bf16"` (ASCII case-insensitive); `None`
+    /// otherwise.
     pub fn parse(s: &str) -> Option<Self> {
-        if s.eq_ignore_ascii_case("f32") {
-            Some(Precision::F32)
-        } else if s.eq_ignore_ascii_case("f64") {
-            Some(Precision::F64)
-        } else {
-            None
-        }
+        [Precision::F64, Precision::F32, Precision::Bf16]
+            .into_iter()
+            .find(|p| s.eq_ignore_ascii_case(p.name()))
     }
 }
 
@@ -409,8 +416,12 @@ mod tests {
         assert_eq!(Precision::default(), Precision::F64);
         assert_eq!(Precision::parse("f32"), Some(Precision::F32));
         assert_eq!(Precision::parse("F64"), Some(Precision::F64));
+        assert_eq!(Precision::parse("bf16"), Some(Precision::Bf16));
+        assert_eq!(Precision::parse("BF16"), Some(Precision::Bf16));
         assert_eq!(Precision::parse("half"), None);
+        assert_eq!(Precision::parse("native"), None);
         assert_eq!(Precision::F32.to_string(), "f32");
         assert_eq!(Precision::F64.name(), "f64");
+        assert_eq!(Precision::Bf16.to_string(), "bf16");
     }
 }

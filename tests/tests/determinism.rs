@@ -196,11 +196,11 @@ fn f32_pipeline_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// bf16-resident snapshots keep the contract too: every inference task
-/// decodes the shared bf16 snapshot into its own pooled f32 scratch, so the
-/// decode is pure and per-task and the fan-out stays bit-identical at any
-/// thread count (the values differ from f32/native — bf16 truncation is an
-/// accuracy knob, like precision — but never across schedules).
+/// `Precision::Bf16` keeps the contract too: the weights are rounded to bf16
+/// once, before the fan-out, and every inference task reads that one shared
+/// copy through the f32 kernels, so the fan-out stays bit-identical at any
+/// thread count (the values differ from f32 — bf16 rounding is an accuracy
+/// knob — but never across schedules).
 #[test]
 fn bf16_snapshot_pipeline_is_bit_identical_across_thread_counts() {
     let map = straight_path_map(24, 8);
@@ -215,8 +215,7 @@ fn bf16_snapshot_pipeline_is_bit_identical_across_thread_counts() {
                     imputer,
                     epochs: Some(2),
                     threads,
-                    precision: Precision::F32,
-                    snapshot_dtype: SnapshotDtype::Bf16,
+                    precision: Precision::Bf16,
                     ..PipelineConfig::default()
                 })
                 .impute(&map, &topology)
@@ -226,7 +225,7 @@ fn bf16_snapshot_pipeline_is_bit_identical_across_thread_counts() {
         for run in &runs[1..] {
             assert!(
                 bitwise_eq_maps(&runs[0], run),
-                "{} bf16-snapshot imputation differs across thread counts",
+                "{} bf16 imputation differs across thread counts",
                 imputer.name()
             );
         }
