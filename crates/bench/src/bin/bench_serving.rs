@@ -14,11 +14,13 @@
 //! pins bit-identical responses at every width, so these legs all compute
 //! the same answers.
 //!
-//! Baseline note: the `bench_serving_500x60_wknn_batch64` entry in
-//! `BENCH_baseline.json` was measured on an earlier whole-venue engine that
-//! called `Knn::estimate` directly; this harness serves through
-//! `ShardedVenueModel` (route, candidate rewrite to global indices, merge),
-//! so its numbers are not comparable with that entry.
+//! Baseline note: compare against the `bench_serving_500x60_wknn_batch64_1shard`
+//! entry of `BENCH_baseline.json`, which records this harness on the one
+//! serving path — `ShardedVenueModel` at 1 shard, ranked batch-major — and
+//! on the commit before batch-major ranking, measured back to back on one
+//! machine (fingerprint recorded), 3 alternating runs per side. The older
+//! `bench_serving_500x60_wknn_batch64` entry was measured on a whole-venue
+//! engine that called `Knn::estimate` directly and is not comparable.
 
 use std::time::Instant;
 

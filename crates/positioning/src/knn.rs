@@ -5,6 +5,17 @@
 //! arithmetic — and the top `k + RERANK_MARGIN` candidates are re-ranked
 //! with the exact f64 Euclidean distance, so the neighbour distances the
 //! estimators consume carry no quantization error.
+//!
+//! Ranking is batch-major: [`Knn::candidates_batch`] is the one ranking
+//! core (encode and scan the whole batch, then select and re-rank each
+//! query's window), and [`Knn::candidates`] is its batch of one. The exact
+//! re-rank ([`exact_distances`]) runs one candidate per AVX2 f64 lane: each
+//! lane accumulates its own candidate's `(x − y) · (x − y)` in index order,
+//! with a separate multiply and add, from the same `-0.0` start as the
+//! scalar `sum` — the same operations in the same order as the scalar
+//! Euclidean distance, so the lanes are bit-identical to it. Every query's
+//! candidates are therefore a pure function of `(map, fingerprint, k)`,
+//! whatever batch it arrives in and whichever kernels run.
 
 // rm-lint: hot-path
 
@@ -107,53 +118,71 @@ impl Knn {
 
     /// The `k` nearest entries as ranked [`KnnCandidate`]s, sorted by
     /// increasing exact f64 distance (ties broken by record index, like the
-    /// full scan's stable sort).
-    ///
-    /// Ranking is two-phase: the int8 kernel scores every record, the
-    /// `k + RERANK_MARGIN` best quantized candidates are selected, and those
-    /// are re-ranked exactly. Both phases break ties by record index and the
-    /// int8 kernel is bit-identical across its variants, so the result is a
-    /// pure function of `(map, fingerprint, k)`. Public so the sharded
+    /// full scan's stable sort): the batch of one of
+    /// [`candidates_batch`](Self::candidates_batch). Public so the sharded
     /// serving layer can merge per-shard candidates into a venue-wide
     /// top-`k` ([`merge_candidates`]).
     pub fn candidates(&self, fingerprint: &[f64]) -> Vec<KnnCandidate> {
+        self.candidates_batch(&[fingerprint])
+            .pop()
+            .expect("one result per query")
+    }
+
+    /// [`candidates`](Self::candidates) for every query of a batch, in
+    /// order.
+    ///
+    /// Ranking is two-phase: the int8 kernel scores every record for the
+    /// whole batch, each query's `k + RERANK_MARGIN` best quantized
+    /// candidates are selected, and those are re-ranked exactly. Both phases
+    /// break ties by record index and every kernel is bit-identical to its
+    /// scalar reference, so each query's result is a pure function of
+    /// `(map, fingerprint, k)` — independent of the batch around it.
+    ///
+    /// # Panics
+    /// If the map is not empty and a fingerprint's arity differs from it.
+    pub fn candidates_batch(&self, fingerprints: &[&[f64]]) -> Vec<Vec<KnnCandidate>> {
         let n = self.map.len();
         if n == 0 {
-            return Vec::new();
+            return vec![Vec::new(); fingerprints.len()];
         }
         let window = (self.k + RERANK_MARGIN).min(n);
-        let query = self.quantized.encode_query(fingerprint);
-        let mut scored: Vec<(i32, u32)> = self
+        let encoded = self.quantized.encode_queries(fingerprints);
+        let distances = self
             .quantized
-            .squared_distances(&query)
-            .into_iter()
-            .zip(0u32..)
-            .collect();
-        if window < n {
-            scored.select_nth_unstable(window - 1);
-            scored.truncate(window);
-        }
-        let mut exact: Vec<(f64, u32)> = scored
-            .into_iter()
-            .map(|(_, i)| {
-                (
-                    euclidean(fingerprint, &self.map.fingerprints()[i as usize]),
-                    i,
-                )
-            })
-            .collect();
-        exact.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
-        exact.truncate(self.k);
-        exact
-            .into_iter()
-            .map(|(distance, i)| KnnCandidate {
-                distance,
-                index: i,
-                location: self.map.locations()[i as usize],
+            .squared_distances_batch(&encoded, fingerprints.len());
+        let rows = self.map.fingerprints();
+        let mut scored: Vec<(i32, u32)> = Vec::with_capacity(n);
+        let mut selected: Vec<&[f64]> = Vec::with_capacity(window);
+        fingerprints
+            .iter()
+            .zip(distances.chunks_exact(n))
+            .map(|(&fingerprint, distances)| {
+                scored.clear();
+                scored.extend(distances.iter().copied().zip(0u32..));
+                if window < n {
+                    scored.select_nth_unstable(window - 1);
+                    scored.truncate(window);
+                }
+                selected.clear();
+                selected.extend(scored.iter().map(|&(_, i)| rows[i as usize].as_slice()));
+                let mut exact: Vec<(f64, u32)> = exact_distances(fingerprint, &selected)
+                    .into_iter()
+                    .zip(scored.iter().map(|&(_, i)| i))
+                    .collect();
+                exact.sort_by(|a, b| {
+                    a.0.partial_cmp(&b.0)
+                        .unwrap_or(Ordering::Equal)
+                        .then(a.1.cmp(&b.1))
+                });
+                exact.truncate(self.k);
+                exact
+                    .into_iter()
+                    .map(|(distance, i)| KnnCandidate {
+                        distance,
+                        index: i,
+                        location: self.map.locations()[i as usize],
+                    })
+                    .collect()
             })
             .collect()
     }
@@ -198,6 +227,101 @@ impl LocationEstimator for Wknn {
 
     fn name(&self) -> &'static str {
         "WKNN"
+    }
+}
+
+/// The exact Euclidean distance between `query` and each of `rows`, in
+/// order — bit-identical to `(Σᵢ (qᵢ − rᵢ)²).sqrt()` summed left to right
+/// by `Iterator::sum`, whichever kernel runs (see the module docs).
+///
+/// # Panics
+/// If a row's arity differs from the query's.
+#[allow(unsafe_code)] // dispatch into the runtime-detected AVX2 kernel
+pub fn exact_distances(query: &[f64], rows: &[&[f64]]) -> Vec<f64> {
+    for row in rows {
+        assert_eq!(row.len(), query.len(), "row arity mismatch");
+    }
+    #[cfg(target_arch = "x86_64")]
+    if crate::quant::avx2_dispatch() {
+        let mut out = vec![0.0; rows.len()];
+        for (rows, out) in rows.chunks(RERANK_LANES).zip(out.chunks_mut(RERANK_LANES)) {
+            // SAFETY: AVX2 support was just checked at runtime, and every
+            // row has the query's length (asserted above).
+            unsafe { squared_sums_avx2(query, rows, out) };
+        }
+        for d in &mut out {
+            *d = d.sqrt();
+        }
+        return out;
+    }
+    rows.iter().map(|row| euclidean(query, row)).collect()
+}
+
+/// Candidates one pass of the AVX2 re-rank carries: three independent
+/// 4-lane accumulators, enough for a `k = 3` window of `3 + RERANK_MARGIN`.
+#[cfg(target_arch = "x86_64")]
+const RERANK_LANES: usize = 12;
+
+/// Squared distances of up to [`RERANK_LANES`] rows to `query`, one row
+/// per f64 lane. Rows are taken four at a time; two 128-bit half-row loads
+/// per row pair and one unpack per element put element `i` of the four
+/// rows into one vector, lanes ordered (r0, r2, r1, r3). Each lane then
+/// accumulates `(q − r)·(q − r)` in index order from `-0.0`, one `mul` and
+/// one `add` (never fused), exactly like the scalar fold; an odd last
+/// element finishes per lane in scalar code. A short last group repeats its
+/// last row in the spare lanes, whose sums are dropped.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(unsafe_code)]
+// SAFETY: AVX2 availability (checked by the caller); `1 ≤ rows.len() ≤
+// RERANK_LANES = out.len()` rows of exactly `query.len()` elements. Every
+// pointer below is derived from those slices and offset within bounds.
+unsafe fn squared_sums_avx2(query: &[f64], rows: &[&[f64]], out: &mut [f64]) {
+    use std::arch::x86_64::{
+        __m256d, _mm256_add_pd, _mm256_broadcast_sd, _mm256_loadu2_m128d, _mm256_mul_pd,
+        _mm256_set1_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm256_unpackhi_pd, _mm256_unpacklo_pd,
+    };
+    const GROUPS: usize = RERANK_LANES / 4;
+    /// Source row of each vector lane (see the unpack order above).
+    const LANE_ROW: [usize; 4] = [0, 2, 1, 3];
+    let n = query.len();
+    let groups = rows.len().div_ceil(4);
+    let row = |r: usize| rows[r.min(rows.len() - 1)].as_ptr();
+    let rp: [[*const f64; 4]; GROUPS] =
+        std::array::from_fn(|g| std::array::from_fn(|l| row(4 * g + l)));
+    let qp = query.as_ptr();
+    let mut acc: [__m256d; GROUPS] = [_mm256_set1_pd(-0.0); GROUPS];
+    let mut i = 0usize;
+    // SAFETY: i + 1 < n for every load, and every row holds n elements.
+    unsafe {
+        while i + 2 <= n {
+            let q0 = _mm256_broadcast_sd(&*qp.add(i));
+            let q1 = _mm256_broadcast_sd(&*qp.add(i + 1));
+            for (acc, rp) in acc.iter_mut().zip(&rp).take(groups) {
+                let v01 = _mm256_loadu2_m128d(rp[1].add(i), rp[0].add(i));
+                let v23 = _mm256_loadu2_m128d(rp[3].add(i), rp[2].add(i));
+                let d0 = _mm256_sub_pd(q0, _mm256_unpacklo_pd(v01, v23));
+                let d1 = _mm256_sub_pd(q1, _mm256_unpackhi_pd(v01, v23));
+                *acc = _mm256_add_pd(*acc, _mm256_mul_pd(d0, d0));
+                *acc = _mm256_add_pd(*acc, _mm256_mul_pd(d1, d1));
+            }
+            i += 2;
+        }
+    }
+    for (g, acc) in acc.iter().enumerate().take(groups) {
+        let mut lanes = [0.0f64; 4];
+        // SAFETY: `lanes` holds exactly one vector.
+        unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), *acc) };
+        for (lane, &sum) in lanes.iter().enumerate() {
+            let r = 4 * g + LANE_ROW[lane];
+            if r < rows.len() {
+                let mut sum = sum;
+                for (x, y) in query[i..].iter().zip(&rows[r][i..]) {
+                    sum += (x - y) * (x - y);
+                }
+                out[r] = sum;
+            }
+        }
     }
 }
 
@@ -338,5 +462,20 @@ mod tests {
         assert!(Wknn::new(empty, 3)
             .estimate(&[-50.0, -50.0, -50.0])
             .is_none());
+    }
+
+    /// A map without APs puts every record at distance 0: ranking must not
+    /// panic and falls back to record order.
+    #[test]
+    fn zero_ap_map_ranks_by_record_index() {
+        let locations: Vec<Point> = (0..20).map(|i| Point::new(i as f64, 1.0)).collect();
+        let knn = Knn::new(DenseRadioMap::new(vec![vec![]; 20], locations, 0), 3);
+        let ranked = knn.candidates(&[]);
+        assert_eq!(
+            ranked.iter().map(|c| c.index).collect::<Vec<_>>(),
+            vec![0, 1, 2]
+        );
+        assert!(ranked.iter().all(|c| c.distance == 0.0));
+        assert_eq!(knn.estimate(&[]), Some(Point::new(1.0, 1.0)));
     }
 }

@@ -18,7 +18,9 @@ pub mod metrics;
 pub mod quant;
 
 pub use forest::{ForestConfig, RandomForest};
-pub use knn::{knn_estimate, merge_candidates, wknn_estimate, Knn, KnnCandidate, Wknn};
+pub use knn::{
+    exact_distances, knn_estimate, merge_candidates, wknn_estimate, Knn, KnnCandidate, Wknn,
+};
 pub use metrics::{
     average_positioning_error, error_percentile, mean_absolute_error, mean_rp_distance,
     root_mean_square_error,

@@ -18,10 +18,24 @@
 //! distance is within [`QuantizedFingerprints::distance_slack`] of the true
 //! k-th smallest.
 //!
-//! Unlike the float kernels in `rm_tensor::simd`, both int8 kernel variants
-//! are exact integer arithmetic, so the AVX2 path is **bit-identical** to
-//! the scalar path by construction — `RM_SIMD=0` (the same knob as the float
-//! kernels) still forces the scalar reference, making the equivalence
+//! The scan is **batch-major**: [`QuantizedFingerprints::encode_queries`]
+//! puts a whole batch of queries onto the map's grid (already widened to
+//! i16), and [`QuantizedFingerprints::squared_distances_batch`] scores every
+//! query against every record. The AVX2 kernel loads and widens each code
+//! row once per group of 4 queries and keeps one i32 accumulator per query;
+//! a single query is the batch of one. Both the scan and the encode are
+//! bit-identical to their scalar references:
+//!
+//! * the scan is exact integer arithmetic, so every kernel variant computes
+//!   the same sums by construction;
+//! * the encode is the same `((v − min) / scale).round().clamp(0, 255)`
+//!   expression compiled once more inside an AVX2 `#[target_feature]`
+//!   context, where LLVM vectorises it (IEEE division and round-half-away
+//!   are exact operations, so the lanes round exactly like the scalar
+//!   code). It must stay a division: a reciprocal multiply changes codes.
+//!
+//! `RM_SIMD=0` (the same knob as the float kernels) forces the scalar
+//! references — the per-query, per-row loop below — making the equivalence
 //! checkable.
 
 // rm-lint: hot-path
@@ -38,6 +52,10 @@ const MAX_QUANTIZED_APS: usize = 32_768;
 /// true order at the boundary for all but adversarially dense ties, at the
 /// cost of a handful of extra f64 distance evaluations per query.
 pub const RERANK_MARGIN: usize = 8;
+
+/// Queries the AVX2 scan scores together against one loaded code row.
+#[cfg(target_arch = "x86_64")]
+const SCAN_GROUP: usize = 4;
 
 /// A dense radio map's fingerprints in per-map affine int8 codes, plus the
 /// parameters needed to quantize queries against the same grid.
@@ -84,9 +102,8 @@ impl QuantizedFingerprints {
         let scale = if max > min { (max - min) / 255.0 } else { 1.0 };
         let mut codes = Vec::with_capacity(map.len() * num_aps);
         for row in map.fingerprints() {
-            for &v in row {
-                codes.push(Self::encode(v, min, scale));
-            }
+            // Grid codes always fit i8 (the level is clamped to 0..=255).
+            codes.extend(row.iter().map(|&v| encode(v, min, scale) as i8));
         }
         Self {
             codes,
@@ -97,20 +114,38 @@ impl QuantizedFingerprints {
         }
     }
 
-    /// One value onto the grid: round to the nearest level, clamp to the
-    /// representable range (map values never clamp by construction; query
-    /// values outside the map's range do).
-    fn encode(v: f64, min: f64, scale: f64) -> i8 {
-        let level = ((v - min) / scale).round().clamp(0.0, 255.0);
-        (level as i16 - 128) as i8
+    /// Quantizes an online query fingerprint onto the map's grid.
+    ///
+    /// # Panics
+    /// If the fingerprint's arity differs from the map's.
+    pub fn encode_query(&self, fingerprint: &[f64]) -> Vec<i8> {
+        // Grid codes always fit i8 (the level is clamped to 0..=255).
+        self.encode_queries(&[fingerprint])
+            .into_iter()
+            .map(|c| c as i8)
+            .collect()
     }
 
-    /// Quantizes an online query fingerprint onto the map's grid.
-    pub fn encode_query(&self, fingerprint: &[f64]) -> Vec<i8> {
-        fingerprint
-            .iter()
-            .map(|&v| Self::encode(v, self.min, self.scale))
-            .collect()
+    /// Quantizes a batch of query fingerprints onto the map's grid, already
+    /// widened to i16 for the scan: query `q`'s codes are
+    /// `[q · num_aps, (q + 1) · num_aps)` of the result. Identical codes to
+    /// [`encode_query`](Self::encode_query), whichever kernel runs.
+    ///
+    /// # Panics
+    /// If a fingerprint's arity differs from the map's.
+    pub fn encode_queries(&self, fingerprints: &[&[f64]]) -> Vec<i16> {
+        let n = self.num_aps;
+        let mut out = vec![0i16; fingerprints.len() * n];
+        for (q, fingerprint) in fingerprints.iter().enumerate() {
+            assert_eq!(fingerprint.len(), n, "query arity mismatch");
+            encode_row_dispatch(
+                fingerprint,
+                self.min,
+                self.scale,
+                &mut out[q * n..(q + 1) * n],
+            );
+        }
+        out
     }
 
     /// Resident bytes of the quantized codes (the f64 fingerprints they
@@ -129,23 +164,55 @@ impl QuantizedFingerprints {
         self.len == 0
     }
 
-    /// The quantized squared distance of the query against every stored
-    /// fingerprint, in record order. Integer arithmetic end to end, so the
-    /// result is bit-identical regardless of which kernel variant runs.
-    #[allow(unsafe_code)] // dispatch into the runtime-detected AVX2 kernel
+    /// The quantized squared distance of one encoded query against every
+    /// stored fingerprint, in record order: the batch of one of
+    /// [`squared_distances_batch`](Self::squared_distances_batch).
+    ///
+    /// # Panics
+    /// If the query's arity differs from the map's.
     pub fn squared_distances(&self, query: &[i8]) -> Vec<i32> {
-        assert_eq!(query.len(), self.num_aps, "query arity mismatch");
-        let mut out = Vec::with_capacity(self.len);
+        let widened: Vec<i16> = query.iter().map(|&c| i16::from(c)).collect();
+        self.squared_distances_batch(&widened, 1)
+    }
+
+    /// The quantized squared distances of `batch` encoded queries (as laid
+    /// out by [`encode_queries`](Self::encode_queries)) against every stored
+    /// fingerprint: query `q`'s distances, in record order, are
+    /// `[q · len, (q + 1) · len)` of the result. Integer arithmetic end to
+    /// end, so the result is bit-identical to
+    /// [`squared_distances_reference`](Self::squared_distances_reference)
+    /// whichever kernel variant runs. A map without APs puts every record at
+    /// distance 0 (ranking then falls back to record order).
+    ///
+    /// # Panics
+    /// If `encoded` does not hold `batch` queries of the map's arity.
+    #[allow(unsafe_code)] // dispatch into the runtime-detected AVX2 kernel
+    pub fn squared_distances_batch(&self, encoded: &[i16], batch: usize) -> Vec<i32> {
+        assert_eq!(encoded.len(), batch * self.num_aps, "query arity mismatch");
+        let mut out = vec![0i32; batch * self.len];
         #[cfg(target_arch = "x86_64")]
-        {
-            if rm_tensor::simd_enabled() && avx2_available() {
-                // SAFETY: AVX2 availability was just checked at runtime,
-                // which is the `unsafe fn`'s only contract.
-                unsafe { squared_distances_avx2(&self.codes, query, self.num_aps, &mut out) };
-                return out;
-            }
+        if avx2_dispatch() {
+            // SAFETY: AVX2 availability was just checked at runtime, and the
+            // buffers have the shapes the kernel documents.
+            unsafe {
+                squared_distances_avx2(&self.codes, self.len, self.num_aps, encoded, &mut out)
+            };
+            return out;
         }
-        squared_distances_scalar(&self.codes, query, self.num_aps, &mut out);
+        squared_distances_scalar(&self.codes, self.len, self.num_aps, encoded, &mut out);
+        out
+    }
+
+    /// The scalar reference scan for one encoded query: the per-row
+    /// i32-accumulated loop every kernel variant must reproduce bit for bit.
+    ///
+    /// # Panics
+    /// If the query's arity differs from the map's.
+    pub fn squared_distances_reference(&self, query: &[i8]) -> Vec<i32> {
+        assert_eq!(query.len(), self.num_aps, "query arity mismatch");
+        let widened: Vec<i16> = query.iter().map(|&c| i16::from(c)).collect();
+        let mut out = vec![0i32; self.len];
+        squared_distances_scalar(&self.codes, self.len, self.num_aps, &widened, &mut out);
         out
     }
 
@@ -166,77 +233,190 @@ impl QuantizedFingerprints {
     }
 }
 
-/// Runtime AVX2 support, detected once per process (same pattern as
-/// `rm_tensor::simd`).
-#[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
-    use std::sync::OnceLock;
-    static AVX2: OnceLock<bool> = OnceLock::new();
-    *AVX2.get_or_init(|| is_x86_feature_detected!("avx2"))
+/// Whether the AVX2 kernels run: the CPU has AVX2 and `RM_SIMD` does not
+/// force the scalar references. Runtime AVX2 support is detected once per
+/// process (same pattern as `rm_tensor::simd`).
+pub(crate) fn avx2_dispatch() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::sync::OnceLock;
+        static AVX2: OnceLock<bool> = OnceLock::new();
+        rm_tensor::simd_enabled() && *AVX2.get_or_init(|| is_x86_feature_detected!("avx2"))
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    false
 }
 
-/// Scalar reference: i32-accumulated squared differences, one row at a time.
-/// This is the semantics both kernel variants must produce bit-for-bit.
-fn squared_distances_scalar(codes: &[i8], query: &[i8], num_aps: usize, out: &mut Vec<i32>) {
-    for row in codes.chunks_exact(num_aps.max(1)) {
-        let mut acc = 0i32;
-        for (&a, &b) in row.iter().zip(query.iter()) {
-            let d = i32::from(a) - i32::from(b);
-            acc += d * d;
-        }
-        out.push(acc);
+/// One value onto the grid, widened to i16: round to the nearest level,
+/// clamp to the representable range (map values never clamp by
+/// construction; query values outside the map's range do).
+#[inline(always)]
+fn encode(v: f64, min: f64, scale: f64) -> i16 {
+    let level = ((v - min) / scale).round().clamp(0.0, 255.0);
+    level as i16 - 128
+}
+
+/// Scalar reference encode of one query.
+#[inline(always)]
+fn encode_row(values: &[f64], min: f64, scale: f64, out: &mut [i16]) {
+    for (code, &v) in out.iter_mut().zip(values) {
+        *code = encode(v, min, scale);
     }
 }
 
-/// AVX2 kernel: 16 codes per iteration, widened i8→i16, differenced, and
-/// pair-summed into 8 i32 lanes by `_mm256_madd_epi16`. Every step is exact
-/// integer arithmetic (|diff| ≤ 255, so diff² ≤ 65 025 and a lane holds at
-/// most `2 · 65 025` per madd; the row total is asserted ≤ i32::MAX via the
-/// AP-count bound at quantization time) — bit-identical to the scalar
-/// reference by construction.
+/// [`encode_row`] compiled for AVX2, where LLVM vectorises the division,
+/// rounding and clamp — the same operations per element, so the same codes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn encode_row_avx2(values: &[f64], min: f64, scale: f64, out: &mut [i16]) {
+    encode_row(values, min, scale, out);
+}
+
+/// [`encode_row`] through the AVX2 build when it may run.
+#[allow(unsafe_code)] // dispatch into the runtime-detected AVX2 encode
+fn encode_row_dispatch(values: &[f64], min: f64, scale: f64, out: &mut [i16]) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_dispatch() {
+        // SAFETY: AVX2 support was just checked at runtime, the
+        // target-feature function's only contract.
+        unsafe { encode_row_avx2(values, min, scale, out) };
+        return;
+    }
+    encode_row(values, min, scale, out);
+}
+
+/// Scalar reference: i32-accumulated squared differences, one query and one
+/// row at a time, query-major output (`len` distances per query). Rows are
+/// indexed rather than chunked, so a map without APs still yields one (zero)
+/// distance per row.
+fn squared_distances_scalar(
+    codes: &[i8],
+    len: usize,
+    num_aps: usize,
+    queries: &[i16],
+    out: &mut [i32],
+) {
+    if len == 0 {
+        return;
+    }
+    for (q, dists) in out.chunks_exact_mut(len).enumerate() {
+        let query = &queries[q * num_aps..(q + 1) * num_aps];
+        for (r, dist) in dists.iter_mut().enumerate() {
+            let row = &codes[r * num_aps..(r + 1) * num_aps];
+            let mut acc = 0i32;
+            for (&a, &b) in row.iter().zip(query) {
+                let d = i32::from(a) - i32::from(b);
+                acc += d * d;
+            }
+            *dist = acc;
+        }
+    }
+}
+
+/// AVX2 scan over a whole batch: groups of [`SCAN_GROUP`] queries share
+/// each loaded code row, then the leftover queries run one at a time.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(unsafe_code)]
-// SAFETY: the `unsafe fn` contract is AVX2 availability (checked by the
-// caller); every pointer below is derived from the row/query slices and
-// offset strictly within their bounds.
-unsafe fn squared_distances_avx2(codes: &[i8], query: &[i8], num_aps: usize, out: &mut Vec<i32>) {
+// SAFETY: the contract is AVX2 availability (checked by the caller) plus
+// `queries.len() = batch · num_aps` and `out.len() = batch · len`, which
+// `squared_distances_batch` asserts.
+unsafe fn squared_distances_avx2(
+    codes: &[i8],
+    len: usize,
+    num_aps: usize,
+    queries: &[i16],
+    out: &mut [i32],
+) {
+    if num_aps == 0 || len == 0 {
+        return; // every distance is the zero `out` was filled with
+    }
+    let batch = out.len() / len;
+    let mut q = 0;
+    while q < batch {
+        let group = if batch - q >= SCAN_GROUP {
+            SCAN_GROUP
+        } else {
+            1
+        };
+        let queries = &queries[q * num_aps..(q + group) * num_aps];
+        let out = &mut out[q * len..(q + group) * len];
+        // SAFETY: AVX2 is available (this function's contract), and the
+        // group's slices hold exactly `group` queries and `group · len`
+        // distances.
+        unsafe {
+            if group == SCAN_GROUP {
+                scan_group::<SCAN_GROUP>(codes, num_aps, queries, out);
+            } else {
+                scan_group::<1>(codes, num_aps, queries, out);
+            }
+        }
+        q += group;
+    }
+}
+
+/// Scores `N` queries against every code row: 16 codes per iteration, the
+/// row widened i8→i16 once and differenced against each query's
+/// pre-widened codes, then pair-summed into that query's 8 i32 lanes by
+/// `_mm256_madd_epi16`. Every step is exact integer arithmetic (|diff| ≤
+/// 255, so diff² ≤ 65 025 and a lane holds at most `2 · 65 025` per madd;
+/// the row total is bounded by i32::MAX via the AP-count bound at
+/// quantization time) — bit-identical to the scalar reference by
+/// construction.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(unsafe_code)]
+// SAFETY: AVX2 availability (checked by the caller); `num_aps > 0`,
+// `codes.len() = len · num_aps`, `queries.len() = N · num_aps` and
+// `out.len() = N · len`. Every pointer below is derived from those slices
+// and offset strictly within their bounds.
+unsafe fn scan_group<const N: usize>(
+    codes: &[i8],
+    num_aps: usize,
+    queries: &[i16],
+    out: &mut [i32],
+) {
     use std::arch::x86_64::{
-        _mm256_add_epi32, _mm256_castsi256_si128, _mm256_cvtepi8_epi16, _mm256_extracti128_si256,
-        _mm256_madd_epi16, _mm256_setzero_si256, _mm256_sub_epi16, _mm_add_epi32,
-        _mm_cvtsi128_si32, _mm_loadu_si128, _mm_shuffle_epi32,
+        __m256i, _mm256_add_epi32, _mm256_castsi256_si128, _mm256_cvtepi8_epi16,
+        _mm256_extracti128_si256, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_setzero_si256,
+        _mm256_sub_epi16, _mm_add_epi32, _mm_cvtsi128_si32, _mm_loadu_si128, _mm_shuffle_epi32,
     };
     let n = num_aps;
-    let qp = query.as_ptr();
-    for row in codes.chunks_exact(n.max(1)) {
-        let rp = row.as_ptr();
-        // SAFETY: all offsets are < n ≤ both the row and query lengths;
-        // unaligned loads are used throughout, so no alignment precondition.
-        let acc = unsafe {
-            let mut acc = _mm256_setzero_si256();
+    let len = codes.len() / n;
+    let body = n - n % 16;
+    // SAFETY (whole body): every offset below is < n within a row of
+    // `codes` or a query of `queries`, and < N · len within `out`;
+    // unaligned loads are used throughout, so no alignment precondition.
+    unsafe {
+        let qp: [*const i16; N] = std::array::from_fn(|j| queries.as_ptr().add(j * n));
+        let op = out.as_mut_ptr();
+        for r in 0..len {
+            let rp = codes.as_ptr().add(r * n);
+            let mut acc: [__m256i; N] = [_mm256_setzero_si256(); N];
             let mut i = 0usize;
-            while i + 16 <= n {
+            while i < body {
                 let a = _mm256_cvtepi8_epi16(_mm_loadu_si128(rp.add(i).cast()));
-                let b = _mm256_cvtepi8_epi16(_mm_loadu_si128(qp.add(i).cast()));
-                let d = _mm256_sub_epi16(a, b);
-                acc = _mm256_add_epi32(acc, _mm256_madd_epi16(d, d));
+                for j in 0..N {
+                    let d = _mm256_sub_epi16(a, _mm256_loadu_si256(qp[j].add(i).cast()));
+                    acc[j] = _mm256_add_epi32(acc[j], _mm256_madd_epi16(d, d));
+                }
                 i += 16;
             }
-            // Horizontal sum of the 8 i32 lanes, then the scalar tail.
-            let lo = _mm256_castsi256_si128(acc);
-            let hi = _mm256_extracti128_si256(acc, 1);
-            let s = _mm_add_epi32(lo, hi);
-            let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b01_00_11_10));
-            let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b00_00_00_01));
-            let mut total = _mm_cvtsi128_si32(s);
-            while i < n {
-                let d = i32::from(*rp.add(i)) - i32::from(*qp.add(i));
-                total += d * d;
-                i += 1;
+            for j in 0..N {
+                // Horizontal sum of the 8 i32 lanes, then the scalar tail.
+                let lo = _mm256_castsi256_si128(acc[j]);
+                let hi = _mm256_extracti128_si256(acc[j], 1);
+                let s = _mm_add_epi32(lo, hi);
+                let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b01_00_11_10));
+                let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b00_00_00_01));
+                let mut total = _mm_cvtsi128_si32(s);
+                for t in body..n {
+                    let d = i32::from(*rp.add(t)) - i32::from(*qp[j].add(t));
+                    total += d * d;
+                }
+                *op.add(j * len + r) = total;
             }
-            total
-        };
-        out.push(acc);
+        }
     }
 }
 
@@ -314,9 +494,38 @@ mod tests {
                 .collect();
             let encoded = q.encode_query(&query);
             let dispatched = q.squared_distances(&encoded);
-            let mut reference = Vec::new();
-            squared_distances_scalar(&q.codes, &encoded, q.num_aps, &mut reference);
+            let reference = q.squared_distances_reference(&encoded);
             assert_eq!(dispatched, reference, "kernel mismatch at {num_aps} APs");
         }
+    }
+
+    /// The dispatched encode (AVX2-vectorised on capable hosts) rounds,
+    /// clamps and saturates exactly like the scalar expression, including
+    /// at half-level ties, out-of-range values and non-finite input.
+    #[test]
+    fn dispatched_encode_matches_the_scalar_expression() {
+        let m = map(vec![vec![-91.3, -40.0, -77.7], vec![-100.0, -55.5, -62.25]]);
+        let q = QuantizedFingerprints::from_map(&m);
+        let mut values: Vec<f64> = (0..4096)
+            .map(|i| -130.0 + f64::from(i) * (120.0 / 4096.0))
+            .collect();
+        // Exact half-level ties round away from zero.
+        values.extend((0..256).map(|l| q.min + (f64::from(l) + 0.5) * q.scale));
+        values.extend([
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            q.min,
+            q.min + 255.0 * q.scale,
+        ]);
+        let mut dispatched = vec![0i16; values.len()];
+        encode_row_dispatch(&values, q.min, q.scale, &mut dispatched);
+        let expected: Vec<i16> = values
+            .iter()
+            .map(|&v| ((v - q.min) / q.scale).round().clamp(0.0, 255.0) as i16 - 128)
+            .collect();
+        assert_eq!(dispatched, expected);
     }
 }

@@ -1,9 +1,14 @@
 //! Property-based tests for the int8-quantized KNN ranking path.
 
 use proptest::prelude::*;
+use proptest::test_runner::ProptestConfig;
 use rm_geometry::Point;
-use rm_positioning::{LocationEstimator, QuantizedFingerprints, Wknn};
+use rm_positioning::{exact_distances, Knn, LocationEstimator, QuantizedFingerprints, Wknn};
 use rm_radiomap::DenseRadioMap;
+
+/// Every arity the parity sweeps cover: past four 16-code scan blocks and
+/// every residue of the 2-element re-rank step and the 4-lane groups.
+const MAX_SWEEP_APS: usize = 70;
 
 /// SplitMix64-ish stream mapped into an RSSI-like range.
 fn rssi_stream(seed: u64) -> impl FnMut() -> f64 {
@@ -137,5 +142,94 @@ proptest! {
             estimate.distance(reference) < 1e-9,
             "WKNN estimate {estimate:?} drifted from exact reference {reference:?}"
         );
+    }
+}
+
+/// `batch` query fingerprints of `num_aps` APs, drawn a little wider than
+/// the map's RSSI range so some codes clamp.
+fn random_queries(batch: usize, num_aps: usize, seed: u64) -> Vec<Vec<f64>> {
+    let mut next = rssi_stream(seed);
+    (0..batch)
+        .map(|_| (0..num_aps).map(|_| next() * 1.1 + 4.0).collect())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The batch-major scan (AVX2 multi-query kernel on capable hosts)
+    /// equals the scalar per-row reference bit for bit at every arity from
+    /// 0 to 70, for batch sizes on and off the 4-query group, and the batch
+    /// encode equals the single-query encode.
+    #[test]
+    fn batch_scan_equals_the_scalar_reference_bit_for_bit(
+        records in 0usize..24,
+        batch in 1usize..65,
+        seed in 0u64..1000,
+    ) {
+        for num_aps in 0..=MAX_SWEEP_APS {
+            let map = random_map(records, num_aps, seed);
+            let quant = QuantizedFingerprints::from_map(&map);
+            let queries = random_queries(batch, num_aps, seed ^ num_aps as u64);
+            let refs: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
+            let encoded = quant.encode_queries(&refs);
+            let scanned = quant.squared_distances_batch(&encoded, batch);
+            prop_assert_eq!(scanned.len(), batch * records);
+            for (q, query) in queries.iter().enumerate() {
+                let codes = quant.encode_query(query);
+                let widened: Vec<i16> = codes.iter().map(|&c| i16::from(c)).collect();
+                prop_assert_eq!(&encoded[q * num_aps..(q + 1) * num_aps], &widened[..]);
+                let reference = quant.squared_distances_reference(&codes);
+                prop_assert!(
+                    scanned[q * records..(q + 1) * records] == reference[..],
+                    "query {q} of {batch} at {num_aps} APs"
+                );
+            }
+        }
+    }
+
+    /// The exact re-rank (one candidate per AVX2 lane on capable hosts)
+    /// equals the scalar Euclidean fold bit for bit, for every arity from 0
+    /// to 70 and candidate counts on and off the 4-lane groups.
+    #[test]
+    fn exact_distances_equal_the_scalar_euclidean_bit_for_bit(
+        rows in 0usize..30,
+        seed in 0u64..1000,
+    ) {
+        for num_aps in 0..=MAX_SWEEP_APS {
+            let map = random_map(rows, num_aps, seed);
+            let query = &random_queries(1, num_aps, !seed)[0];
+            let refs: Vec<&[f64]> = map.fingerprints().iter().map(Vec::as_slice).collect();
+            let got: Vec<u64> = exact_distances(query, &refs).iter().map(|d| d.to_bits()).collect();
+            let expected: Vec<u64> = refs.iter().map(|r| euclidean(query, r).to_bits()).collect();
+            prop_assert!(got == expected, "{rows} rows at {num_aps} APs");
+        }
+    }
+
+    /// Ranking a batch equals ranking each of its queries alone: same
+    /// candidates, same distance bits, same order.
+    #[test]
+    fn candidates_batch_equals_per_query_candidates(
+        records in 1usize..60,
+        num_aps in 0usize..71,
+        batch in 1usize..65,
+        k in 1usize..6,
+        seed in 0u64..1000,
+    ) {
+        let knn = Knn::new(random_map(records, num_aps, seed), k);
+        let queries = random_queries(batch, num_aps, seed.wrapping_mul(31));
+        let refs: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
+        let batched = knn.candidates_batch(&refs);
+        prop_assert_eq!(batched.len(), batch);
+        for (query, got) in queries.iter().zip(&batched) {
+            let alone = knn.candidates(query);
+            prop_assert_eq!(got.len(), k.min(records));
+            prop_assert_eq!(got.len(), alone.len());
+            for (a, b) in got.iter().zip(&alone) {
+                prop_assert_eq!(a.index, b.index);
+                prop_assert_eq!(a.distance.to_bits(), b.distance.to_bits());
+                prop_assert_eq!(a.location, b.location);
+            }
+        }
     }
 }

@@ -31,21 +31,32 @@ pub struct ShardedQueryResponse {
 /// Requests accumulate in submission order and are flushed in micro-batches
 /// of at most [`MAX_MICRO_BATCH`]: each flush clones the venue's current
 /// composed [`ShardedVenueModel`](crate::model::ShardedVenueModel) from the
-/// registry **once** and fans the whole batch over the deterministic worker
-/// pool against that one immutable model. A batch can therefore never
-/// straddle a hot swap or a per-shard republish: all its answers come from
-/// one consistent set of shard models, and every response carries the
-/// primary shard it routed to plus that shard's generation.
+/// registry **once** and answers the whole batch against that one immutable
+/// model. A batch can therefore never straddle a hot swap or a per-shard
+/// republish: all its answers come from one consistent set of shard models,
+/// and every response carries the primary shard it routed to plus that
+/// shard's generation.
+///
+/// The flush splits the micro-batch into one contiguous slice per pool
+/// participant, and each participant ranks its slice batch-major through
+/// [`ShardedVenueModel::estimate_batch`](crate::model::ShardedVenueModel::estimate_batch):
+/// shard-outer and query-inner, so a shard's int8 codes are scanned once
+/// per group of queries while they sit in cache.
 ///
 /// # Determinism
 ///
 /// Batch boundaries depend only on the submission order and the batch
 /// capacity — never on the thread count — and the fan-out is
 /// `rm_runtime::par_map`, which is order-preserving and bit-identical at
-/// any width. A fixed query log against a fixed model therefore yields
-/// bit-identical responses at `RM_THREADS=1`, `2` or `N`, and on a
-/// single-shard venue each response equals the offline `evaluate_estimator`
-/// path's per-query estimate on the same snapshot.
+/// any width. Each answer is a pure function of `(model, fingerprint)`:
+/// the batch kernels are bit-identical to their per-query scalar
+/// references, so neither the slice a query lands in nor the queries beside
+/// it can change a bit. A fixed query log against a fixed model therefore
+/// yields bit-identical responses at `RM_THREADS=1`, `2` or `N` and at any
+/// batch capacity, each equal to the model's own
+/// [`estimate`](crate::model::ShardedVenueModel::estimate) of that query;
+/// on a single-shard venue each response also equals the offline
+/// `evaluate_estimator` path's per-query estimate on the same snapshot.
 pub struct ShardedQueryEngine<'a> {
     registry: &'a ModelRegistry,
     venue: String,
@@ -115,20 +126,28 @@ impl<'a> ShardedQueryEngine<'a> {
             .sharded_model(&self.venue)
             .unwrap_or_else(|| panic!("no sharded model published for venue `{}`", self.venue));
         let batch = std::mem::take(&mut self.pending);
-        let answers = rm_runtime::par_map(self.threads, &batch, |_, (_, fingerprint)| {
-            (model.route(fingerprint), model.estimate(fingerprint))
-        });
-        self.answered.extend(
-            batch
+        // One contiguous slice per participant, ranked batch-major.
+        let participants = rm_runtime::resolve_threads(self.threads).clamp(1, batch.len());
+        let slices: Vec<&[(u64, Vec<f64>)]> =
+            batch.chunks(batch.len().div_ceil(participants)).collect();
+        let answers = rm_runtime::par_map(self.threads, &slices, |_, slice| {
+            let fingerprints: Vec<&[f64]> = slice.iter().map(|(_, f)| f.as_slice()).collect();
+            let positions = model.estimate_batch(&fingerprints);
+            fingerprints
                 .iter()
-                .zip(answers)
-                .map(|(&(index, _), (shard, position))| ShardedQueryResponse {
+                .map(|fingerprint| model.route(fingerprint))
+                .zip(positions)
+                .collect::<Vec<_>>()
+        });
+        self.answered
+            .extend(batch.iter().zip(answers.into_iter().flatten()).map(
+                |(&(index, _), (shard, position))| ShardedQueryResponse {
                     index,
                     position,
                     shard,
                     generation: model.models()[shard].generation(),
-                }),
-        );
+                },
+            ));
     }
 
     /// Flushes any partial batch and returns every response answered since

@@ -37,7 +37,8 @@ pub struct ShardModel {
     /// rewrites local candidate indices into the venue-wide space.
     global_indices: Vec<usize>,
     /// Per-AP coverage: `true` when any record in this shard hears the AP
-    /// above the −100 dBm floor. Drives AP-overlap routing.
+    /// above the −100 dBm floor. Drives AP-overlap routing (through the
+    /// venue model's AP-major [`RoutingTable`]).
     ap_coverage: Vec<bool>,
     /// Mean fingerprint of the shard's records (the shard's signal
     /// centroid); routing tie-break for queries overlapping several shards
@@ -127,43 +128,94 @@ impl ShardModel {
         }
     }
 
-    /// This shard's top-`k` candidates with indices rewritten into the
-    /// global record space, or `None` when the estimator has no KNN ranking
-    /// core to merge.
-    fn global_candidates(&self, fingerprint: &[f64]) -> Option<Vec<KnnCandidate>> {
-        let knn = match &self.estimator {
-            ShardEstimator::Knn(knn) | ShardEstimator::Wknn(knn) => knn,
-            ShardEstimator::Other(_) => return None,
-        };
-        Some(
-            knn.candidates(fingerprint)
-                .into_iter()
-                .map(|c| KnnCandidate {
-                    index: self.global_indices[c.index as usize] as u32,
-                    ..c
-                })
-                .collect(),
-        )
+    /// The KNN ranking core, or `None` when the estimator has no candidates
+    /// to merge.
+    fn ranker(&self) -> Option<&Knn> {
+        match &self.estimator {
+            ShardEstimator::Knn(knn) | ShardEstimator::Wknn(knn) => Some(knn),
+            ShardEstimator::Other(_) => None,
+        }
+    }
+}
+
+/// Every shard's routing statistics, AP-major: entry `ap · shards + s`
+/// holds shard `s`'s coverage of / centroid at AP `ap`, so routing walks
+/// the query once and scores all shards side by side. Each shard's
+/// centroid distance still sums its own terms left to right from `-0.0`,
+/// exactly like a per-shard `sum`, so routes are bit-identical to scoring
+/// one shard at a time.
+struct RoutingTable {
+    shards: usize,
+    coverage: Vec<bool>,
+    centroid: Vec<f64>,
+}
+
+impl RoutingTable {
+    /// Interleaves the shards' per-AP coverage and centroids. Every shard
+    /// of a venue has the venue's APs; a narrower shard map (which the
+    /// pipeline never publishes) reads as hearing none of the APs it lacks.
+    /// Never panics: `with_shard` runs under the registry's write lock.
+    fn new(models: &[Arc<ShardModel>]) -> Self {
+        let shards = models.len();
+        let num_aps = models
+            .iter()
+            .map(|m| m.signal_centroid.len())
+            .max()
+            .unwrap_or(0);
+        let mut coverage = vec![false; num_aps * shards];
+        let mut centroid = vec![0.0; num_aps * shards];
+        for (s, model) in models.iter().enumerate() {
+            for (ap, (&covered, &c)) in model
+                .ap_coverage
+                .iter()
+                .zip(&model.signal_centroid)
+                .enumerate()
+            {
+                coverage[ap * shards + s] = covered;
+                centroid[ap * shards + s] = c;
+            }
+        }
+        Self {
+            shards,
+            coverage,
+            centroid,
+        }
     }
 
-    /// How many APs this query and shard both cover (query above the −100
-    /// floor on an AP some shard record hears).
-    fn ap_overlap(&self, fingerprint: &[f64]) -> usize {
-        fingerprint
+    /// The primary shard for `fingerprint`: most APs in common (query above
+    /// the −100 floor on an AP some shard record hears), ties broken by
+    /// nearest signal centroid, then lowest shard id.
+    fn route(&self, fingerprint: &[f64]) -> usize {
+        let lanes = self.shards.max(1);
+        let mut overlap = vec![0usize; self.shards];
+        let mut dist = vec![-0.0f64; self.shards];
+        for ((&v, coverage), centroid) in fingerprint
             .iter()
-            .zip(&self.ap_coverage)
-            .filter(|&(&v, &covered)| covered && v > MNAR_FILL_VALUE)
-            .count()
-    }
-
-    /// Squared distance between the query and the shard's signal centroid
-    /// (routing tie-break).
-    fn signal_distance_sq(&self, fingerprint: &[f64]) -> f64 {
-        fingerprint
-            .iter()
-            .zip(&self.signal_centroid)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum()
+            .zip(self.coverage.chunks_exact(lanes))
+            .zip(self.centroid.chunks_exact(lanes))
+        {
+            let heard = v > MNAR_FILL_VALUE;
+            for (((overlap, dist), &covered), &c) in overlap
+                .iter_mut()
+                .zip(&mut dist)
+                .zip(coverage)
+                .zip(centroid)
+            {
+                *overlap += usize::from(covered && heard);
+                *dist += (v - c) * (v - c);
+            }
+        }
+        let mut best = 0usize;
+        let mut best_overlap = 0usize;
+        let mut best_dist = f64::INFINITY;
+        for (shard, (&overlap, &dist)) in overlap.iter().zip(&dist).enumerate() {
+            if overlap > best_overlap || (overlap == best_overlap && dist < best_dist) {
+                best = shard;
+                best_overlap = overlap;
+                best_dist = dist;
+            }
+        }
+        best
     }
 }
 
@@ -191,6 +243,7 @@ pub struct ShardedVenueModel {
     venue: String,
     shards: VenueShards,
     models: Vec<Arc<ShardModel>>,
+    routing: RoutingTable,
 }
 
 impl ShardedVenueModel {
@@ -224,10 +277,11 @@ impl ShardedVenueModel {
                     threads,
                 ))
             })
-            .collect();
+            .collect::<Vec<_>>();
         Self {
             venue,
             shards,
+            routing: RoutingTable::new(&models),
             models,
         }
     }
@@ -246,6 +300,7 @@ impl ShardedVenueModel {
         Self {
             venue: self.venue.clone(),
             shards,
+            routing: RoutingTable::new(&models),
             models,
         }
     }
@@ -288,41 +343,62 @@ impl ShardedVenueModel {
     /// The primary shard for `fingerprint`: most APs in common, ties broken
     /// by nearest signal centroid, then lowest shard id.
     pub fn route(&self, fingerprint: &[f64]) -> usize {
-        let mut best = 0usize;
-        let mut best_overlap = 0usize;
-        let mut best_dist = f64::INFINITY;
-        for (shard, model) in self.models.iter().enumerate() {
-            let overlap = model.ap_overlap(fingerprint);
-            let dist = model.signal_distance_sq(fingerprint);
-            if overlap > best_overlap || (overlap == best_overlap && dist < best_dist) {
-                best = shard;
-                best_overlap = overlap;
-                best_dist = dist;
-            }
-        }
-        best
+        self.routing.route(fingerprint)
     }
 
     /// Estimates the query's location (see the type docs for the cross-shard
-    /// re-rank contract).
+    /// re-rank contract): the batch of one of
+    /// [`estimate_batch`](Self::estimate_batch).
     pub fn estimate(&self, fingerprint: &[f64]) -> Option<Point> {
-        let mut pooled: Vec<KnnCandidate> = Vec::new();
-        let mut k = 0usize;
-        for model in &self.models {
-            match model.global_candidates(fingerprint) {
-                Some(candidates) => {
-                    k = k.max(model.snapshot().knn_k.max(1));
-                    pooled.extend(candidates);
-                }
-                // A non-ranking estimator: answer from the primary shard.
-                None => return self.models[self.route(fingerprint)].estimate(fingerprint),
+        self.estimate_batch(&[fingerprint])
+            .pop()
+            .expect("one answer per query")
+    }
+
+    /// [`estimate`](Self::estimate) for every query of a batch, in order.
+    /// Ranking runs shard-outer and query-inner ([`Knn::candidates_batch`]),
+    /// so each shard's codes stay in cache for the whole batch; every answer
+    /// is still a pure function of `(model, fingerprint)`, independent of
+    /// the batch around it.
+    pub fn estimate_batch(&self, fingerprints: &[&[f64]]) -> Vec<Option<Point>> {
+        let Some(rankers) = self
+            .models
+            .iter()
+            .map(|m| m.ranker())
+            .collect::<Option<Vec<&Knn>>>()
+        else {
+            // A non-ranking estimator: answer from the primary shard.
+            return fingerprints
+                .iter()
+                .map(|fingerprint| self.models[self.route(fingerprint)].estimate(fingerprint))
+                .collect();
+        };
+        let k = self
+            .models
+            .iter()
+            .map(|m| m.snapshot().knn_k.max(1))
+            .max()
+            .unwrap_or(0);
+        let mut pooled: Vec<Vec<KnnCandidate>> = fingerprints
+            .iter()
+            .map(|_| Vec::with_capacity(k * self.models.len()))
+            .collect();
+        for (model, ranker) in self.models.iter().zip(rankers) {
+            for (pool, candidates) in pooled.iter_mut().zip(ranker.candidates_batch(fingerprints)) {
+                pool.extend(candidates.into_iter().map(|c| KnnCandidate {
+                    index: model.global_indices[c.index as usize] as u32,
+                    ..c
+                }));
             }
         }
-        let merged = merge_candidates(k, pooled);
-        match self.models.first().map(|m| m.snapshot().estimator) {
-            Some(EstimatorKind::Wknn) => wknn_estimate(&merged),
-            _ => knn_estimate(&merged),
-        }
+        let fold = match self.models.first().map(|m| m.snapshot().estimator) {
+            Some(EstimatorKind::Wknn) => wknn_estimate,
+            _ => knn_estimate,
+        };
+        pooled
+            .into_iter()
+            .map(|candidates| fold(&merge_candidates(k, candidates)))
+            .collect()
     }
 }
 

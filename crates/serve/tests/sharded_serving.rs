@@ -11,7 +11,9 @@
 //!    recompute bitwise.
 //! 3. **Determinism** — a fixed query log through the sharded engine is
 //!    bit-identical at any thread count, and so is a warm-started
-//!    (`LiveVenue::ingest_warm`) bf16 venue update.
+//!    (`LiveVenue::ingest_warm`) bf16 venue update; the batch-major engine
+//!    answers every query exactly like the model's per-query `estimate`, at
+//!    any batch capacity and thread count.
 
 use std::sync::Arc;
 
@@ -449,6 +451,73 @@ fn a_sharded_query_log_is_bit_identical_at_any_thread_count() {
                 "query {} differs between threads=1 and threads={threads}",
                 a.index
             );
+        }
+    }
+}
+
+/// A venue of `paths` survey paths, each hearing four APs shared with its
+/// neighbours (AP `a` is heard on paths `a / 2 − 1` and `a / 2`), with
+/// record-dependent RSSI so quantized ranking has real work to do.
+fn overlapping_paths_map(paths: usize) -> RadioMap {
+    let num_aps = 2 * paths + 2;
+    let mut records = Vec::new();
+    for path in 0..paths {
+        for i in 0..12 {
+            let values: Vec<Option<f64>> = (0..num_aps)
+                .map(|ap| {
+                    (ap / 2 == path || ap / 2 == path + 1)
+                        .then(|| -42.0 - ((i * 7 + ap * 13 + path * 5) % 41) as f64 * 1.1)
+                })
+                .collect();
+            let rp = Point::new(path as f64 * 30.0 + i as f64 * 1.5, (i % 4) as f64 * 2.0);
+            records.push(RadioMapRecord::new(
+                Fingerprint::new(values),
+                Some(rp),
+                i as f64,
+                path,
+            ));
+        }
+    }
+    RadioMap::new(records, num_aps)
+}
+
+/// The engine ranks each micro-batch batch-major, one contiguous slice per
+/// participant; at 8 shards, every capacity (including one off the 4-query
+/// scan group) and thread count answers each query bitwise equal to the
+/// model's own per-query `estimate` and `route`.
+#[test]
+fn batched_engine_answers_equal_per_query_estimates_at_eight_shards() {
+    let map = overlapping_paths_map(8);
+    let config = PipelineConfig {
+        knn_k: 3,
+        ..seedfree_config(EstimatorKind::Wknn, 8)
+    };
+    let sharded = ImputationPipeline::new(config).export_sharded_snapshot(
+        "eight",
+        &map,
+        &MultiPolygon::empty(),
+    );
+    let registry = ModelRegistry::new();
+    registry.publish_sharded(sharded, 1);
+    let model = registry.sharded_model("eight").expect("published");
+    assert_eq!(model.num_shards(), 8);
+    let log = query_log(&map);
+    for max_batch in [1, 7, 64] {
+        for threads in [1, 2] {
+            let responses =
+                ShardedQueryEngine::with_max_batch(&registry, "eight", threads, max_batch)
+                    .run_log(&log);
+            assert_eq!(responses.len(), log.len());
+            for (response, query) in responses.iter().zip(&log) {
+                assert_eq!(response.shard, model.route(query));
+                let (got, want) = (response.position.unwrap(), model.estimate(query).unwrap());
+                assert_eq!(
+                    (got.x.to_bits(), got.y.to_bits()),
+                    (want.x.to_bits(), want.y.to_bits()),
+                    "query {} at max_batch={max_batch}, threads={threads}",
+                    response.index
+                );
+            }
         }
     }
 }
