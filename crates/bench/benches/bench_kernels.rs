@@ -38,6 +38,21 @@ fn bench_matmul(c: &mut Criterion) {
     c.bench_function("matrix_matmul_at_b_64x128_64", |bencher| {
         bencher.iter(|| std::hint::black_box(a.matmul_at_b(&grad)))
     });
+    // The column-vector products every recurrent graph is made of: `W·x` for
+    // four 32-row gates over a 216-wide input, and its input gradient `Wᵀ·g`.
+    let w: Matrix = Matrix::random_uniform(128, 216, 1.0, &mut rng);
+    let x: Matrix = Matrix::random_uniform(216, 1, 1.0, &mut rng);
+    let g: Matrix = Matrix::random_uniform(128, 1, 1.0, &mut rng);
+    let mut y = Matrix::zeros(128, 1);
+    c.bench_function("matrix_matvec_f64_128x216", |bencher| {
+        bencher.iter(|| {
+            w.matmul_into(&x, &mut y);
+            std::hint::black_box(y.get(0, 0))
+        })
+    });
+    c.bench_function("matrix_matvec_t_f64_128x216", |bencher| {
+        bencher.iter(|| std::hint::black_box(w.matmul_at_b(&g)))
+    });
 }
 
 /// The precision axis head-to-head: the same blocked kernel monomorphised

@@ -15,9 +15,11 @@
 //!   with the thread count; on a single-CPU container these rows bound the
 //!   dispatch overhead instead.
 //!
-//! An SSGAN row exercises the two-phase (discriminator/generator) batching
-//! and a BiSIM row the attention-model rebuild, both at the batched shape
-//! only (their batch-1 paths share the BRITS fast-path machinery).
+//! The `train_ssgan` and `train_bisim` groups time the same default
+//! `batch1_t1` shape — the serial trajectory, where the column-vector
+//! products, the backward pass and the Adam step set the cost — plus one
+//! batched, two-thread row each: SSGAN's two-phase
+//! (discriminator/generator) batching and BiSIM's attention-model rebuild.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rm_bisim::{Bisim, BisimConfig};

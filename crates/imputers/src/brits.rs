@@ -347,18 +347,17 @@ pub fn snapshot_resident_bytes(num_aps: usize, hidden_size: usize) -> (usize, us
 
 /// Differentiates the combined BRITS loss of one `(sequence, reversed)` pair
 /// — forward/backward reconstruction plus the cross-direction consistency
-/// term — and returns the per-parameter gradients in optimizer order
-/// (forward-direction parameters, then backward-direction).
+/// term — leaving the gradients in the models' parameters.
 ///
 /// The caller must ensure the models' gradient buffers are zero on entry:
 /// freshly rebuilt replicas ([`RecurrentImputerWeights::to_model`]) start
 /// zeroed, and the live-graph fast path zeroes through its optimizer.
-fn pair_gradients(
+fn pair_backward(
     forward: &RecurrentImputer,
     backward: &RecurrentImputer,
     seq: &PathSequence,
     rev: &PathSequence,
-) -> Vec<Matrix<f64>> {
+) {
     let fwd = forward.run(seq);
     let bwd = backward.run(rev);
     let mut total = Var::scalar(0.0);
@@ -377,14 +376,10 @@ fn pair_gradients(
     }
     let loss = total.scale(1.0 / seq.len() as f64);
     loss.backward();
-    let mut params = forward.parameters();
-    params.extend(backward.parameters());
-    let grads = params.iter().map(|p| p.grad()).collect();
-    // The gradients are out; return the step's graph — both passes, the
-    // loss chain and every intermediate — to the per-worker node arena so
-    // the next sequence rebuilds on recycled storage. The parameter leaves
-    // are still held by the models and are skipped by the recycler.
-    drop(params);
+    // Return the step's graph — both passes, the loss chain and every
+    // intermediate — to the per-worker node arena so the next sequence
+    // rebuilds on recycled storage. The parameter leaves, and the gradients
+    // in them, are still held by the models and are skipped by the recycler.
     Var::recycle_all(
         fwd.estimates
             .into_iter()
@@ -393,7 +388,24 @@ fn pair_gradients(
             .chain(bwd.complements)
             .chain([total, loss]),
     );
-    grads
+}
+
+/// [`pair_backward`] on a graph replica, returning the per-parameter
+/// gradients in optimizer order (forward-direction parameters, then
+/// backward-direction) — one example of a mini-batch.
+fn pair_gradients(
+    forward: &RecurrentImputer,
+    backward: &RecurrentImputer,
+    seq: &PathSequence,
+    rev: &PathSequence,
+) -> Vec<Matrix<f64>> {
+    pair_backward(forward, backward, seq, rev);
+    forward
+        .parameters()
+        .iter()
+        .chain(&backward.parameters())
+        .map(Var::grad)
+        .collect()
 }
 
 /// Runs the deterministic mini-batch training loop shared by the batched
@@ -402,6 +414,15 @@ fn pair_gradients(
 /// produced by `grads` (fanned out by the caller where profitable), summed
 /// in sequence-index order into a [`GradientBatch`], and applied as one
 /// optimizer step.
+///
+/// A single-sequence chunk (every chunk at the default `batch_size = 1`)
+/// skips the batch: the optimizer zeroes its gradients, `backward_one(i)`
+/// differentiates the live graph, and the optimizer steps on the gradients
+/// `backward` left in the parameters. That is the classic serial SGD step,
+/// and bitwise the batch of one it replaces: a backward pass never leaves
+/// `-0.0` in a gradient (it sums into zeroed buffers from `+0.0`), so
+/// summing the gradient into a zeroed batch and depositing it back
+/// reproduces every bit.
 ///
 /// `grads(chunk)` must return one gradient list per index in `chunk`, in
 /// chunk order — [`rm_runtime::par_map`] over the chunk satisfies this by
@@ -413,12 +434,19 @@ pub fn train_in_batches<T: Scalar>(
     epochs: usize,
     num_sequences: usize,
     batch_size: usize,
+    mut backward_one: impl FnMut(usize),
     mut grads: impl FnMut(&[usize]) -> Vec<Vec<Matrix<T>>>,
 ) {
     let batch_size = batch_size.max(1);
     let indices: Vec<usize> = (0..num_sequences).collect();
     for _ in 0..epochs {
         for chunk in indices.chunks(batch_size) {
+            if let [i] = *chunk {
+                optimizer.zero_grad();
+                backward_one(i);
+                optimizer.step();
+                continue;
+            }
             let per_sequence = grads(chunk);
             debug_assert_eq!(per_sequence.len(), chunk.len());
             let mut batch = GradientBatch::zeros_like(optimizer.parameters());
@@ -612,24 +640,13 @@ impl Brits {
             epochs,
             sequences.len(),
             self.config.batch_size,
+            |i| pair_backward(forward, backward, &sequences[i], &reversed[i]),
             |chunk| {
-                if let [i] = *chunk {
-                    for p in forward.parameters().iter().chain(&backward.parameters()) {
-                        p.zero_grad();
-                    }
-                    vec![pair_gradients(
-                        forward,
-                        backward,
-                        &sequences[i],
-                        &reversed[i],
-                    )]
-                } else {
-                    let fw = forward.snapshot();
-                    let bw = backward.snapshot();
-                    rm_runtime::par_map(threads, chunk, |_, &i| {
-                        pair_gradients(&fw.to_model(), &bw.to_model(), &sequences[i], &reversed[i])
-                    })
-                }
+                let fw = forward.snapshot();
+                let bw = backward.snapshot();
+                rm_runtime::par_map(threads, chunk, |_, &i| {
+                    pair_gradients(&fw.to_model(), &bw.to_model(), &sequences[i], &reversed[i])
+                })
             },
         );
     }

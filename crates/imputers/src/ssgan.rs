@@ -74,17 +74,13 @@ impl Default for SsganConfig {
 }
 
 /// Differentiates the discriminator loss for one sequence — predict the
-/// observation mask from the (detached) complemented vectors — and returns
-/// the discriminator's per-parameter gradients. `complements` are the
+/// observation mask from the (detached) complemented vectors — leaving the
+/// gradients in the discriminator's parameters. `complements` are the
 /// generator outputs as plain values: the graph forward's `.value()` on the
 /// live path, or the bit-identical matrix-kernel forward of
 /// [`RecurrentImputerWeights::run`] on the batched path. The discriminator's
 /// gradient buffers must be zero on entry.
-fn disc_gradients(
-    discriminator: &Mlp,
-    seq: &PathSequence,
-    complements: &[Matrix<f64>],
-) -> Vec<Matrix<f64>> {
+fn disc_backward(discriminator: &Mlp, seq: &PathSequence, complements: &[Matrix<f64>]) {
     let mut disc_loss = Var::scalar(0.0);
     for t in 0..seq.len() {
         let m = Matrix::column(&seq.fingerprint_masks[t]);
@@ -95,30 +91,35 @@ fn disc_gradients(
     }
     let scaled = disc_loss.scale(1.0 / seq.len() as f64);
     scaled.backward();
-    let grads = discriminator
-        .parameters()
-        .iter()
-        .map(|p| p.grad())
-        .collect();
     // Return the step's graph to the per-worker node arena (the
     // discriminator's parameter leaves are skipped by the recycler).
     Var::recycle_all([disc_loss, scaled]);
-    grads
+}
+
+/// [`disc_backward`] on a replica, returning the discriminator's
+/// per-parameter gradients — one example of a mini-batch.
+fn disc_gradients(
+    discriminator: &Mlp,
+    seq: &PathSequence,
+    complements: &[Matrix<f64>],
+) -> Vec<Matrix<f64>> {
+    disc_backward(discriminator, seq, complements);
+    discriminator.parameters().iter().map(Var::grad).collect()
 }
 
 /// Differentiates the generator loss for one sequence — masked
-/// reconstruction plus the least-squares adversarial term — and returns the
-/// generator's per-parameter gradients. The generator's gradient buffers
-/// must be zero on entry (the discriminator's need not be: its parameters
-/// receive gradient here too, but only the generator slice is extracted,
-/// mirroring the classic loop where `gen_opt.step()` ignored them).
-fn gen_gradients(
+/// reconstruction plus the least-squares adversarial term — leaving the
+/// gradients in the parameters. The generator's gradient buffers must be
+/// zero on entry (the discriminator's need not be: its parameters receive
+/// gradient here too, but only the generator's are stepped on, as in the
+/// classic loop where `gen_opt.step()` ignored them).
+fn gen_backward(
     generator: &RecurrentImputer,
     discriminator: &Mlp,
     seq: &PathSequence,
     num_aps: usize,
     adversarial_weight: f64,
-) -> Vec<Matrix<f64>> {
+) {
     let pass = generator.run(seq);
     let mut gen_loss = Var::scalar(0.0);
     for t in 0..seq.len() {
@@ -135,7 +136,6 @@ fn gen_gradients(
     }
     let scaled = gen_loss.scale(1.0 / seq.len() as f64);
     scaled.backward();
-    let grads = generator.parameters().iter().map(|p| p.grad()).collect();
     // Return the step's graph — the generator pass, the loss chain and every
     // intermediate — to the per-worker node arena; the generator and
     // discriminator parameter leaves are skipped by the recycler.
@@ -145,7 +145,19 @@ fn gen_gradients(
             .chain(pass.complements)
             .chain([gen_loss, scaled]),
     );
-    grads
+}
+
+/// [`gen_backward`] on a replica, returning the generator's per-parameter
+/// gradients — one example of a mini-batch.
+fn gen_gradients(
+    generator: &RecurrentImputer,
+    discriminator: &Mlp,
+    seq: &PathSequence,
+    num_aps: usize,
+    adversarial_weight: f64,
+) -> Vec<Matrix<f64>> {
+    gen_backward(generator, discriminator, seq, num_aps, adversarial_weight);
+    generator.parameters().iter().map(Var::grad).collect()
 }
 
 /// The SSGAN imputer.
@@ -191,52 +203,53 @@ impl Ssgan {
         for _ in 0..epochs {
             for chunk in indices.chunks(batch_size) {
                 // ---- Discriminator phase: predict the observation mask. ----
-                let disc_grads: Vec<Vec<Matrix<f64>>> = if let [i] = *chunk {
-                    for p in disc_opt.parameters() {
-                        p.zero_grad();
-                    }
+                // A single-sequence chunk steps on the gradients `backward`
+                // left in the live parameters (bitwise the batch of one; see
+                // `train_in_batches`).
+                if let [i] = *chunk {
+                    disc_opt.zero_grad();
                     let pass = generator.run(&sequences[i]);
                     let complements: Vec<Matrix<f64>> =
                         pass.complements.iter().map(Var::value).collect();
                     // The pass was only sampled (its values are detached
                     // above); recycle its graph before differentiating.
                     Var::recycle_all(pass.estimates.into_iter().chain(pass.complements));
-                    vec![disc_gradients(discriminator, &sequences[i], &complements)]
+                    disc_backward(discriminator, &sequences[i], &complements);
+                    disc_opt.step();
                 } else {
                     let gen_weights = generator.snapshot();
                     let disc_weights = discriminator.snapshot();
-                    rm_runtime::par_map(threads, chunk, |_, &i| {
+                    let disc_grads = rm_runtime::par_map(threads, chunk, |_, &i| {
                         // The generator is only sampled here (its output is
                         // detached), so the graph-free matrix forward — bit-
                         // identical to the graph forward — serves directly.
                         let mut ws = Workspace::new();
                         let complements = gen_weights.run(&sequences[i], &mut ws);
                         disc_gradients(&disc_weights.to_mlp(), &sequences[i], &complements)
-                    })
-                };
-                let mut batch = GradientBatch::zeros_like(disc_opt.parameters());
-                for g in &disc_grads {
-                    batch.accumulate(g);
+                    });
+                    let mut batch = GradientBatch::zeros_like(disc_opt.parameters());
+                    for g in &disc_grads {
+                        batch.accumulate(g);
+                    }
+                    disc_opt.apply_batch(&batch);
                 }
-                disc_opt.apply_batch(&batch);
 
                 // ---- Generator phase: reconstruction + fooling the updated
                 // discriminator. ----
-                let gen_grads: Vec<Vec<Matrix<f64>>> = if let [i] = *chunk {
-                    for p in gen_opt.parameters() {
-                        p.zero_grad();
-                    }
-                    vec![gen_gradients(
+                if let [i] = *chunk {
+                    gen_opt.zero_grad();
+                    gen_backward(
                         generator,
                         discriminator,
                         &sequences[i],
                         num_aps,
                         adversarial_weight,
-                    )]
+                    );
+                    gen_opt.step();
                 } else {
                     let gen_weights = generator.snapshot();
                     let disc_weights = discriminator.snapshot();
-                    rm_runtime::par_map(threads, chunk, |_, &i| {
+                    let gen_grads = rm_runtime::par_map(threads, chunk, |_, &i| {
                         gen_gradients(
                             &gen_weights.to_model(),
                             &disc_weights.to_mlp(),
@@ -244,13 +257,13 @@ impl Ssgan {
                             num_aps,
                             adversarial_weight,
                         )
-                    })
-                };
-                let mut batch = GradientBatch::zeros_like(gen_opt.parameters());
-                for g in &gen_grads {
-                    batch.accumulate(g);
+                    });
+                    let mut batch = GradientBatch::zeros_like(gen_opt.parameters());
+                    for g in &gen_grads {
+                        batch.accumulate(g);
+                    }
+                    gen_opt.apply_batch(&batch);
                 }
-                gen_opt.apply_batch(&batch);
             }
         }
     }

@@ -359,6 +359,11 @@ impl<T: Scalar> Matrix<T> {
     /// propagates the NaN while this one does not. The opt-in `RM_FMA=1`
     /// kernels degrade bit-identity to epsilon-closeness.)
     ///
+    /// A column-vector `rhs` (`n = 1`) takes the lane-per-row `W·x` kernel
+    /// of [`crate::simd`] instead: the same sums in the same `k` order with
+    /// the same zero skip, bit-identical to this loop for every input, under
+    /// both AVX2 families.
+    ///
     /// # Panics
     /// Panics if the inner dimensions do not match or `out` has the wrong
     /// shape.
@@ -377,10 +382,25 @@ impl<T: Scalar> Matrix<T> {
             (self.rows, rhs.cols)
         );
         out.data.iter_mut().for_each(|v| *v = T::ZERO);
+        if rhs.cols == 1 {
+            // A column vector (every `W·x` of the recurrent graphs): one
+            // output row per lane, bit-identical to the scalar body.
+            return match crate::simd::kernel() {
+                // SAFETY: `Avx2`/`Fma` are only resolved after runtime AVX2
+                // detection succeeded on this CPU; the column kernels have no
+                // FMA variant and serve both families.
+                crate::simd::Kernel::Avx2 | crate::simd::Kernel::Fma => unsafe {
+                    T::matvec_avx2(&self.data, self.cols, &rhs.data, &mut out.data)
+                },
+                crate::simd::Kernel::Scalar => {
+                    self.matmul_into_body(rhs, out, axpy_row_scalar::<T>)
+                }
+            };
+        }
         if rhs.cols < crate::simd::SIMD_MIN_COLS {
-            // Narrow products (column vectors in particular) have no vector
-            // body to amortise the arch-kernel dispatch; the bit-identical
-            // scalar reference inlines here and is strictly faster.
+            // Other narrow products have no vector body to amortise the
+            // arch-kernel dispatch; the bit-identical scalar reference
+            // inlines here and is faster.
             return self.matmul_into_body(rhs, out, axpy_row_scalar::<T>);
         }
         match crate::simd::kernel() {
@@ -545,7 +565,9 @@ impl<T: Scalar> Matrix<T> {
     /// with an explicit transpose, which benchmarks faster than a dot-product
     /// kernel because the axpy inner loop vectorises. Like
     /// [`Matrix::matmul_into`] this kernel skips exact-zero multiplicands, so
-    /// NaN/±∞ in `rhs` do not propagate through zeros of `self`.
+    /// NaN/±∞ in `rhs` do not propagate through zeros of `self`. A
+    /// column-vector `rhs` (`Wᵀ·g`) takes the lanes-across-outputs column
+    /// kernel of [`crate::simd`], bit-identical to the rank-1 loop.
     ///
     /// # Panics
     /// Panics if the row counts differ.
@@ -557,6 +579,22 @@ impl<T: Scalar> Matrix<T> {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let mut out = Matrix::zeros(self.cols, rhs.cols);
+        if rhs.cols == 1 {
+            // `Wᵀ·g`, the input gradient of every `Linear`: lanes across the
+            // outputs, bit-identical to the scalar body.
+            match crate::simd::kernel() {
+                // SAFETY: `Avx2`/`Fma` are only resolved after runtime AVX2
+                // detection succeeded on this CPU; the column kernels have no
+                // FMA variant and serve both families.
+                crate::simd::Kernel::Avx2 | crate::simd::Kernel::Fma => unsafe {
+                    T::matvec_t_avx2(&self.data, &rhs.data, &mut out.data)
+                },
+                crate::simd::Kernel::Scalar => {
+                    self.matmul_at_b_body(rhs, &mut out, axpy_row_scalar::<T>)
+                }
+            }
+            return out;
+        }
         if rhs.cols < crate::simd::SIMD_MIN_COLS {
             // Same narrow-product reasoning as `matmul_into`.
             self.matmul_at_b_body(rhs, &mut out, axpy_row_scalar::<T>);
@@ -925,7 +963,15 @@ mod tests {
     fn blocked_matmul_is_bit_identical_to_naive() {
         let mut rng = StdRng::seed_from_u64(99);
         // Shapes straddling the block boundary exercise full and ragged panels.
-        for (m, k, n) in [(1, 1, 1), (3, 64, 5), (7, 65, 9), (20, 130, 17)] {
+        // `n = 1` shapes take the column-vector kernel.
+        for (m, k, n) in [
+            (1, 1, 1),
+            (3, 64, 5),
+            (7, 65, 9),
+            (20, 130, 17),
+            (13, 65, 1),
+            (37, 130, 1),
+        ] {
             let a = Matrix::<f64>::random_uniform(m, k, 1.0, &mut rng);
             let b = Matrix::<f64>::random_uniform(k, n, 1.0, &mut rng);
             assert_kernel_parity(&a.matmul(&b), &a.matmul_naive(&b), 1e-10);
@@ -935,7 +981,14 @@ mod tests {
     #[test]
     fn f32_blocked_matmul_is_bit_identical_to_f32_naive() {
         let mut rng = StdRng::seed_from_u64(42);
-        for (m, k, n) in [(1, 1, 1), (3, 64, 5), (7, 65, 9), (20, 130, 17)] {
+        for (m, k, n) in [
+            (1, 1, 1),
+            (3, 64, 5),
+            (7, 65, 9),
+            (20, 130, 17),
+            (13, 65, 1),
+            (37, 130, 1),
+        ] {
             let a = Matrix::<f32>::random_uniform(m, k, 1.0, &mut rng);
             let b = Matrix::<f32>::random_uniform(k, n, 1.0, &mut rng);
             assert_kernel_parity(&a.matmul(&b), &a.matmul_naive(&b), 1e-4);
@@ -973,12 +1026,15 @@ mod tests {
 
     #[test]
     fn transposed_kernel_matches_explicit_transpose() {
+        // Both sides sum the same products `a[k][i]·c[k][j]` in increasing
+        // `k` with the same exact-zero skip, so they agree bit for bit —
+        // including `n = 1`, where both take a column kernel.
         let mut rng = StdRng::seed_from_u64(123);
-        let a = Matrix::<f64>::random_uniform(5, 7, 1.0, &mut rng);
-        let c = Matrix::<f64>::random_uniform(5, 3, 1.0, &mut rng);
-        assert!(a
-            .matmul_at_b(&c)
-            .approx_eq(&a.transpose().matmul(&c), 1e-12));
+        for (k, m, n) in [(5, 7, 3), (5, 7, 1), (33, 70, 1), (9, 3, 1)] {
+            let a = Matrix::<f64>::random_uniform(k, m, 1.0, &mut rng);
+            let c = Matrix::<f64>::random_uniform(k, n, 1.0, &mut rng);
+            assert!(a.matmul_at_b(&c).bits_eq(&a.transpose().matmul(&c)));
+        }
     }
 
     #[test]
@@ -1190,6 +1246,123 @@ mod tests {
                 .collect(),
         );
         assert_kernel_parity(&acc, &rolled, fma_tol);
+    }
+
+    /// An operand entry drawn from a mix that is mostly ordinary values but
+    /// includes every IEEE class the column kernels must reproduce: ±0,
+    /// subnormals, ±∞ and NaN. `zero_share` of the draws (out of 16) are
+    /// exact `+0.0`/`-0.0`, the entries the reference skips as weights.
+    fn special_operand<T: Scalar>(i: u64, zero_share: u64) -> T {
+        let mut z = i
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(0x243f_6a88_85a3_08d3);
+        z ^= z >> 30;
+        z = z.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z ^= z >> 27;
+        let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
+        let class = z % 64;
+        let v = match class {
+            c if c < 4 * zero_share => {
+                if c.is_multiple_of(2) {
+                    0.0
+                } else {
+                    -0.0
+                }
+            }
+            60 => f64::INFINITY,
+            61 => f64::NEG_INFINITY,
+            62 => f64::NAN,
+            // The smallest subnormals of the target precision (2^-1074 and
+            // 2^-149) and a few multiples of them, either sign.
+            63 => {
+                let tiny = if T::NAME == "f32" {
+                    f32::from_bits(1) as f64
+                } else {
+                    f64::from_bits(1)
+                };
+                tiny * (1.0 + (z >> 60) as f64) * if z & 1 == 0 { 1.0 } else { -1.0 }
+            }
+            _ => unit * 8.0 - 4.0,
+        };
+        T::from_f64(v)
+    }
+
+    /// Bit equality, except that any two NaNs are equal: IEEE 754 does not
+    /// fix which payload propagates when two NaNs meet, and neither side
+    /// pins the operand order of its adds. Signed zeros, subnormals and
+    /// infinities must match exactly.
+    #[track_caller]
+    fn assert_same_bits<T: Scalar>(got: &[T], want: &[T], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            let both_nan = g.to_f64().is_nan() && w.to_f64().is_nan();
+            assert!(
+                both_nan || g.to_bits_u64() == w.to_bits_u64(),
+                "{what}: entry {i} is {g:?}, reference {w:?}"
+            );
+        }
+    }
+
+    /// The AVX2 column kernels (`W·x` lane-per-row and `Wᵀ·g` lanes across
+    /// the outputs) equal the scalar bodies `RM_SIMD=0` runs, bit for bit,
+    /// at every row count 0–40 (every remainder mod 8) and column count
+    /// 0–70, on operands holding ±0, subnormals, ±∞, NaN and exact-zero
+    /// weights.
+    fn column_kernels_match_scalar_body<T: Scalar>() {
+        #[cfg(target_arch = "x86_64")]
+        if !is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let mut seed = 0u64;
+        for rows in 0..=40usize {
+            for cols in 0..=70usize {
+                seed += 1;
+                let w = Matrix::<T>::from_fn(rows, cols, |r, c| {
+                    special_operand(seed << 20 | (r * 97 + c) as u64, 3)
+                });
+                let x = Matrix::<T>::from_fn(cols, 1, |r, _| {
+                    special_operand(seed << 20 | (1 << 19) | r as u64, 1)
+                });
+                let g = Matrix::<T>::from_fn(rows, 1, |r, _| {
+                    special_operand(seed << 20 | (1 << 18) | r as u64, 1)
+                });
+
+                let mut want = Matrix::<T>::zeros(rows, 1);
+                w.matmul_into_body(&x, &mut want, axpy_row_scalar::<T>);
+                let mut got = Matrix::<T>::filled(rows, 1, T::from_f64(f64::NAN));
+                // SAFETY: AVX2 support was checked at the top of the test.
+                #[allow(unsafe_code)]
+                unsafe {
+                    T::matvec_avx2(w.data(), cols, x.data(), got.data_mut())
+                };
+                assert_same_bits(got.data(), want.data(), &format!("W·x {rows}x{cols}"));
+
+                let mut want_t = Matrix::<T>::zeros(cols, 1);
+                w.matmul_at_b_body(&g, &mut want_t, axpy_row_scalar::<T>);
+                let mut got_t = Matrix::<T>::filled(cols, 1, T::from_f64(f64::NAN));
+                // SAFETY: AVX2 support was checked at the top of the test.
+                #[allow(unsafe_code)]
+                unsafe {
+                    T::matvec_t_avx2(w.data(), g.data(), got_t.data_mut())
+                };
+                assert_same_bits(got_t.data(), want_t.data(), &format!("Wᵀ·g {rows}x{cols}"));
+
+                // The dispatched entry points route `n = 1` to the same
+                // kernels (or, under `RM_SIMD=0`, to the bodies themselves).
+                assert_same_bits(w.matmul(&x).data(), want.data(), "matmul_into n = 1");
+                assert_same_bits(w.matmul_at_b(&g).data(), want_t.data(), "matmul_at_b n = 1");
+            }
+        }
+    }
+
+    #[test]
+    fn f64_column_kernels_are_bit_identical_to_the_scalar_body() {
+        column_kernels_match_scalar_body::<f64>();
+    }
+
+    #[test]
+    fn f32_column_kernels_are_bit_identical_to_the_scalar_body() {
+        column_kernels_match_scalar_body::<f32>();
     }
 
     mod simd_parity {

@@ -42,8 +42,15 @@ proptest! {
     }
 
     #[test]
-    fn transposed_kernel_matches_explicit_transpose(a in arb_matrix(4, 6), c in arb_matrix(4, 5)) {
-        prop_assert!(a.matmul_at_b(&c).approx_eq(&a.transpose().matmul(&c), 1e-9));
+    fn transposed_kernel_matches_explicit_transpose(
+        a in arb_matrix(4, 6),
+        c in arb_matrix(4, 5),
+        g in arb_matrix(4, 1),
+    ) {
+        // Same products, same `k` order, same exact-zero skip on both sides:
+        // bitwise, for a matrix operand and for a column vector (`n = 1`).
+        prop_assert!(a.matmul_at_b(&c).bits_eq(&a.transpose().matmul(&c)));
+        prop_assert!(a.matmul_at_b(&g).bits_eq(&a.transpose().matmul(&g)));
     }
 
     #[test]

@@ -637,3 +637,119 @@ fn derived_seeds_are_scheduling_independent() {
     let parallel = rm_runtime::par_map(4, &indices, |_, &i| rm_runtime::derive_seed(base, i));
     assert_eq!(serial, parallel);
 }
+
+/// FNV-1a 64 over the bits of BRITS, SSGAN and BiSIM trained on a tiny venue
+/// (scale 0.05, 2 epochs): every imputed fingerprint and location, then
+/// every exported tensor's name, dtype, shape and raw bits.
+fn neural_imputers_hash() -> u64 {
+    use rm_tensor::TensorPayload;
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let map = tiny_dataset(VenuePreset::KaideLike, 7).radio_map;
+    let mask = MarOnly.differentiate(&map);
+    for kind in [ImputerKind::Brits, ImputerKind::Ssgan, ImputerKind::Bisim] {
+        let imputer = kind.build_with(&BuildOptions {
+            epochs: Some(2),
+            threads: 2,
+            ..BuildOptions::default()
+        });
+        let (imputed, tensors) = imputer.impute_with_snapshot(&map, &mask);
+        for row in &imputed.fingerprints {
+            eat(&(row.len() as u64).to_le_bytes());
+            for v in row {
+                eat(&v.to_bits().to_le_bytes());
+            }
+        }
+        for location in &imputed.locations {
+            match location {
+                Some(p) => {
+                    eat(&[1]);
+                    eat(&p.x.to_bits().to_le_bytes());
+                    eat(&p.y.to_bits().to_le_bytes());
+                }
+                None => eat(&[0]),
+            }
+        }
+        for tensor in &tensors {
+            eat(tensor.name.as_bytes());
+            match &tensor.payload {
+                TensorPayload::F64(m) => {
+                    eat(&[64]);
+                    eat(&(m.rows() as u64).to_le_bytes());
+                    m.data()
+                        .iter()
+                        .for_each(|v| eat(&v.to_bits().to_le_bytes()));
+                }
+                TensorPayload::F32(m) => {
+                    eat(&[32]);
+                    eat(&(m.rows() as u64).to_le_bytes());
+                    m.data()
+                        .iter()
+                        .for_each(|v| eat(&v.to_bits().to_le_bytes()));
+                }
+                TensorPayload::Bf16(m) => {
+                    eat(&[16]);
+                    eat(&(m.rows() as u64).to_le_bytes());
+                    m.bits().iter().for_each(|v| eat(&v.to_le_bytes()));
+                }
+            }
+        }
+    }
+    hash
+}
+
+/// Marks the scalar reference's hash on the child's stdout.
+const SCALAR_HASH_TAG: &str = "scalar-reference-hash=";
+
+/// The explicit-width SIMD kernels train and infer exactly like the scalar
+/// reference: BRITS, SSGAN and BiSIM hash the same (imputed map and exported
+/// tensors, [`neural_imputers_hash`]) in this process and in a child of this
+/// test binary run with `RM_SIMD=0`. Under `RM_SIMD=0` this process is
+/// itself the reference and only reports its hash; under the opt-in
+/// `RM_FMA=1` the kernels are epsilon-close by contract, not bitwise, so
+/// there is nothing to compare.
+#[test]
+fn simd_training_and_inference_equal_the_scalar_reference_bitwise() {
+    let hash = format!("{:016x}", neural_imputers_hash());
+    if !rm_tensor::simd_enabled() {
+        println!("{SCALAR_HASH_TAG}{hash}");
+        return;
+    }
+    if rm_tensor::fma_enabled() {
+        return;
+    }
+    let exe = std::env::current_exe().expect("locate the test binary");
+    let child = std::process::Command::new(exe)
+        .args([
+            "simd_training_and_inference_equal_the_scalar_reference_bitwise",
+            "--exact",
+            "--nocapture",
+            "--test-threads=1",
+        ])
+        .env("RM_SIMD", "0")
+        .output()
+        .expect("run the scalar reference");
+    let stdout = String::from_utf8_lossy(&child.stdout);
+    assert!(
+        child.status.success(),
+        "scalar reference failed: {stdout}{}",
+        String::from_utf8_lossy(&child.stderr)
+    );
+    // The harness may print the test's name on the same line.
+    let scalar = stdout
+        .split(SCALAR_HASH_TAG)
+        .nth(1)
+        .and_then(|rest| rest.get(..hash.len()))
+        .expect("the scalar reference reports its hash");
+    assert_eq!(
+        hash,
+        scalar,
+        "SIMD kernels ({}) diverged from the scalar reference",
+        rm_tensor::simd_kernel_name()
+    );
+}
